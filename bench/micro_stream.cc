@@ -1,7 +1,10 @@
-// Streaming engine throughput: steady-state ingest rate (points/sec) of the
-// online ensemble detector as a function of (a) the refit interval — the
-// amortization knob trading model freshness for ingest speed — and (b) the
-// number of concurrent streams sharded across the thread pool.
+// Streaming throughput on the daemon's path: steady-state scoring rate
+// (points/sec) of an in-process egid core (service::HubService: frame
+// admission, per-stream queues, drain tasks on the shared exec pool) as a
+// function of (a) the refit interval — the amortization knob trading model
+// freshness for ingest speed — and (b) the number of concurrent streams.
+// Each round admits one 256-point frame per stream and then waits for all
+// of them to be scored (Flush), so the clock covers scoring, not queueing.
 //
 // Per configuration every stream is warmed through its first full refit, so
 // the measured phase exercises the steady state: incremental word encodes
@@ -32,7 +35,9 @@
 
 #include "bench_common.h"
 #include "datasets/random_walk.h"
-#include "stream/engine.h"
+#include "exec/parallel.h"
+#include "service/hub_service.h"
+#include "stream/detector.h"
 #include "util/check.h"
 #include "util/env.h"
 #include "util/rng.h"
@@ -303,7 +308,7 @@ int main(int argc, char** argv) {
   const size_t window = 64;
   const size_t buffer_capacity = quick ? 512 : 2048;
   const size_t measure_per_stream = quick ? 1024 : 8192;
-  const size_t chunk = 256;  // points per stream per Ingest call
+  const size_t chunk = 256;  // points per stream per round (one frame)
   const std::vector<size_t> stream_counts{1, 4, 16};
   const std::vector<size_t> refit_intervals =
       quick ? std::vector<size_t>{128, 512}
@@ -311,7 +316,7 @@ int main(int argc, char** argv) {
   const exec::Parallelism par = exec::Parallelism::FromEnv();
 
   if (!json) {
-    std::printf("== Streaming detection engine: ingest throughput ==\n");
+    std::printf("== Streaming detection service: scoring throughput ==\n");
     std::printf(
         "window %zu, buffer %zu, %zu measured points/stream, threads=%d, "
         "hardware_concurrency=%u%s\n\n",
@@ -325,15 +330,14 @@ int main(int argc, char** argv) {
 
   for (const size_t refit_interval : refit_intervals) {
     for (const size_t num_streams : stream_counts) {
-      stream::StreamEngineOptions opt;
-      opt.detector.ensemble.window_length = window;
-      opt.detector.ensemble.wmax = 8;
-      opt.detector.ensemble.amax = 8;
-      opt.detector.ensemble.ensemble_size = 20;
-      opt.detector.buffer_capacity = buffer_capacity;
-      opt.detector.refit_interval = refit_interval;
-      opt.parallelism = par;
-      stream::StreamEngine engine(opt);
+      service::HubServiceOptions opt;
+      opt.spec = "ensemble:wmax=8,amax=8,n=20";
+      opt.stream.window_length = window;
+      opt.stream.buffer_capacity = buffer_capacity;
+      opt.stream.refit_interval = refit_interval;
+      auto created = service::HubService::Create(opt);
+      EGI_CHECK(created.ok()) << created.status().ToString();
+      service::HubService& hub = **created;
 
       // Pre-generate per-stream data: warmup (fill the buffer, guaranteeing
       // at least one refit) + the measured steady-state stretch.
@@ -343,39 +347,44 @@ int main(int argc, char** argv) {
         Rng rng(7000 + s);
         data.push_back(
             datasets::MakeRandomWalk(warmup + measure_per_stream, rng));
-        engine.AddStream();
+        EGI_CHECK(hub.CreateStream("bench", std::to_string(s)).ok());
       }
+      const auto refit_total = [&] {
+        uint64_t total = 0;
+        for (size_t s = 0; s < num_streams; ++s) {
+          const auto info = hub.Describe(s);
+          EGI_CHECK(info.ok() && info->stats.fitted) << "warmup did not refit";
+          total += info->stats.refit_count;
+        }
+        return total;
+      };
 
+      // One round per chunk: a frame per stream, then a barrier.
       auto ingest_range = [&](size_t begin, size_t end) {
+        service::IngestRequest frame;
         for (size_t off = begin; off < end; off += chunk) {
           const size_t len = std::min(chunk, end - off);
-          std::vector<stream::StreamBatch> batches;
-          batches.reserve(num_streams);
           for (size_t s = 0; s < num_streams; ++s) {
-            batches.push_back(stream::StreamBatch{
-                s, std::span<const double>(data[s]).subspan(off, len)});
+            frame.stream = s;
+            frame.values.assign(data[s].begin() + off,
+                                data[s].begin() + off + len);
+            EGI_CHECK(hub.HandleIngest(frame).type ==
+                      service::FrameType::kAck)
+                << "frame rejected";
           }
-          engine.Ingest(batches);
+          hub.Flush();
         }
       };
 
       ingest_range(0, warmup);
-      uint64_t warmup_refits = 0;
-      for (size_t s = 0; s < num_streams; ++s) {
-        EGI_CHECK(engine.detector(s).fitted()) << "warmup did not refit";
-        warmup_refits += engine.detector(s).refit_count();
-      }
+      const uint64_t warmup_refits = refit_total();
 
       Stopwatch sw;
       ingest_range(warmup, warmup + measure_per_stream);
       const double elapsed = sw.ElapsedSeconds();
 
       // Refits in the measured phase only (refit_count is cumulative).
-      uint64_t refits = 0;
-      for (size_t s = 0; s < num_streams; ++s) {
-        refits += engine.detector(s).refit_count();
-      }
-      refits -= warmup_refits;
+      const uint64_t refits = refit_total() - warmup_refits;
       const size_t total_points = num_streams * measure_per_stream;
       const double pps = static_cast<double>(total_points) /
                          std::max(elapsed, 1e-9);

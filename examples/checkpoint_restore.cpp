@@ -111,13 +111,10 @@ int main() {
   // through the thread pool, restored into a brand-new hub.
   auto hub = session->OpenHub(options);
   if (!hub.ok()) return 1;
-  for (int s = 0; s < 3; ++s) hub->AddStream();
-  std::vector<egi::HubBatch> batches;
   for (size_t s = 0; s < 3; ++s) {
-    batches.push_back(egi::HubBatch{
-        s, std::span<const double>(feed).first(crash_at)});
+    hub->AddStream();
+    hub->Ingest(s, std::span<const double>(feed).first(crash_at));
   }
-  hub->Ingest(batches);
 
   const std::vector<uint8_t> checkpoint = hub->Checkpoint();
   auto standby = session->OpenHub(options);

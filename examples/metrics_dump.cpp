@@ -55,13 +55,11 @@ int main() {
   const size_t feed_len = feeds[0].size();
   constexpr size_t kBatch = 256;
   for (size_t offset = 0; offset < feed_len; offset += kBatch) {
-    std::vector<egi::HubBatch> batches;
+    const size_t end = std::min(feed_len, offset + kBatch);
     for (size_t s = 0; s < kStreams; ++s) {
-      const size_t end = std::min(feed_len, offset + kBatch);
-      batches.push_back(egi::HubBatch{
-          s, std::span<const double>(feeds[s]).subspan(offset, end - offset)});
+      const std::span<const double> feed(feeds[s]);
+      hub->Ingest(s, feed.subspan(offset, end - offset));
     }
-    hub->Ingest(batches);
 
     const auto lat = ingest_hist->Snapshot();
     std::printf(

@@ -7,7 +7,6 @@
 // internals.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -56,7 +55,7 @@ struct StreamOptions {
 };
 
 /// One scored stream point, as returned by StreamSession::Append and
-/// delivered to StreamHub callbacks.
+/// StreamHub::Ingest.
 struct StreamPoint {
   uint64_t index = 0;   ///< 0-based position in the stream since creation
   double value = 0.0;   ///< the ingested value
@@ -68,10 +67,10 @@ struct StreamPoint {
   bool refit = false;        ///< this append completed a full batch refit
 };
 
-/// A single online detection stream (the façade over the streaming engine's
-/// single-stream detector). Obtained from Session::OpenStream or restored
-/// from a Checkpoint() blob; move-only and not thread-safe — shard many
-/// streams with a StreamHub.
+/// A single online detection stream (the façade over the streaming
+/// detector). Obtained from Session::OpenStream or restored from a
+/// Checkpoint() blob; move-only and not thread-safe — one thread advances a
+/// stream at a time (a StreamHub holds many).
 class StreamSession {
  public:
   StreamSession(StreamSession&&) noexcept;
@@ -104,6 +103,9 @@ class StreamSession {
   std::vector<double> BufferSnapshot() const;
   /// Scores aligned 1:1 with BufferSnapshot(); NaN for never-scored points.
   std::vector<double> ScoresSnapshot() const;
+  /// The last min(max_points, buffered()) entries of ScoresSnapshot(),
+  /// oldest first, copied without materializing the whole curve.
+  std::vector<double> RecentScores(size_t max_points) const;
 
   /// Serializes the complete stream state into a versioned, checksummed
   /// blob. A StreamSession restored from it continues bitwise-identically
@@ -123,13 +125,6 @@ class StreamSession {
   std::unique_ptr<Impl> impl_;
 };
 
-/// One ingest unit for StreamHub::Ingest: a run of consecutive points for
-/// one stream. Stream ids within a single Ingest call must be distinct.
-struct HubBatch {
-  size_t stream = 0;
-  std::span<const double> values;
-};
-
 /// Point-in-time statistics of one hub stream (the hub-side counterpart of
 /// StreamSession's accessors; served by the egid daemon's query endpoint).
 struct HubStreamStats {
@@ -140,18 +135,14 @@ struct HubStreamStats {
   size_t window_length = 0;     ///< the stream's sliding-window length n
 };
 
-/// Multi-tenant streaming façade (wraps the sharded streaming engine): owns
-/// many independent streams and shards per-stream ingest batches across the
-/// shared thread pool. Per-stream results are bitwise-identical for every
-/// thread count. Checkpoint()/Restore() capture and restore every stream as
-/// one all-or-nothing blob.
+/// Many independent streams sharing one configuration, addressed by dense
+/// ids. Each stream is advanced on the calling thread; different streams
+/// may be advanced concurrently, one thread per stream. Checkpoint() and
+/// Restore() capture and restore every stream as one all-or-nothing blob,
+/// serializing and decoding the streams in parallel (the spec's threads=);
+/// the bytes are identical for every thread count.
 class StreamHub {
  public:
-  /// Per-point delivery hook; invoked on the worker thread that advanced
-  /// the stream, in append order. Callbacks for different streams may run
-  /// concurrently.
-  using Callback = std::function<void(size_t stream, const StreamPoint&)>;
-
   StreamHub(StreamHub&&) noexcept;
   StreamHub& operator=(StreamHub&&) noexcept;
   ~StreamHub();
@@ -159,14 +150,9 @@ class StreamHub {
   /// Registers a new stream; ids are dense and start at 0.
   size_t AddStream();
 
-  /// Installs (or clears, with nullptr) the per-point callback of a stream.
-  void SetCallback(size_t stream, Callback callback);
-
-  /// Appends each batch to its stream, sharded across the thread pool.
-  void Ingest(std::span<const HubBatch> batches);
-
-  /// Single-stream convenience: appends on the calling thread and returns
-  /// the per-point scores (the stream's callback fires too).
+  /// Appends `values` to one stream in order and returns the per-point
+  /// scores. One thread at a time per stream; AddStream and Restore must
+  /// not run concurrently with it.
   std::vector<StreamPoint> Ingest(size_t stream,
                                   std::span<const double> values);
 
@@ -182,23 +168,13 @@ class StreamHub {
   /// query serves. Same synchronization rule as Stats().
   std::vector<double> RecentScores(size_t stream, size_t max_points) const;
 
-  /// Per-section synchronization hook for Checkpoint: called as
-  /// guard(stream, true) right before that stream's section is serialized
-  /// (on the worker that serializes it) and guard(stream, false) right
-  /// after. A caller owning per-stream locks passes a guard that takes
-  /// them, making checkpoint-under-load sound: ingest on other streams
-  /// continues while the checkpoint captures a consistent point-in-time
-  /// snapshot of each stream.
-  using SectionGuard = std::function<void(size_t stream, bool acquire)>;
-
   /// Checkpoints every stream into one versioned blob (sections produced
-  /// concurrently; the checksum covers all streams).
+  /// concurrently; the checksum covers all streams). No stream may be
+  /// advanced meanwhile.
   std::vector<uint8_t> Checkpoint() const;
-  std::vector<uint8_t> Checkpoint(const SectionGuard& guard) const;
 
   /// Restores a Checkpoint() blob, replacing every current stream.
   /// All-or-nothing: on any failure the hub is left exactly as it was.
-  /// Callbacks are cleared (they are not part of a checkpoint).
   Status Restore(std::span<const uint8_t> blob);
 
   /// Checkpoints one stream into a standalone blob — the same bytes as a
@@ -208,9 +184,8 @@ class StreamHub {
   /// synchronization rule as Stats().
   Result<std::vector<uint8_t>> CheckpointStream(size_t stream) const;
 
-  /// Replaces one stream's state with a CheckpointStream() blob; the
-  /// stream's callback is cleared, other streams are untouched. On failure
-  /// the stream is left as it was.
+  /// Replaces one stream's state with a CheckpointStream() blob; other
+  /// streams are untouched. On failure the stream is left as it was.
   Status RestoreStream(size_t stream, std::span<const uint8_t> blob);
 
  private:

@@ -1,14 +1,16 @@
 #include "egi/session.h"
 
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "api/internal.h"
 #include "egi/telemetry.h"
+#include "exec/parallel.h"
+#include "serialize/format.h"
 #include "stream/detector.h"
-#include "stream/engine.h"
 #include "util/check.h"
 
 namespace egi {
@@ -92,6 +94,9 @@ std::vector<double> StreamSession::BufferSnapshot() const {
 std::vector<double> StreamSession::ScoresSnapshot() const {
   return impl_->detector.ScoresSnapshot();
 }
+std::vector<double> StreamSession::RecentScores(size_t max_points) const {
+  return impl_->detector.RecentScores(max_points);
+}
 
 std::vector<uint8_t> StreamSession::Checkpoint() const {
   return impl_->detector.Serialize();
@@ -105,9 +110,15 @@ Result<StreamSession> StreamSession::Restore(std::span<const uint8_t> blob) {
 // ----------------------------------------------------------------- StreamHub
 
 struct StreamHub::Impl {
-  explicit Impl(stream::StreamEngineOptions options)
-      : engine(std::move(options)) {}
-  stream::StreamEngine engine;
+  explicit Impl(stream::StreamDetectorOptions o) : options(std::move(o)) {}
+
+  stream::StreamDetector& At(size_t stream) {
+    EGI_CHECK(stream < streams.size()) << "unknown stream " << stream;
+    return streams[stream];
+  }
+
+  stream::StreamDetectorOptions options;  // every AddStream()'s detector
+  std::vector<stream::StreamDetector> streams;
 };
 
 StreamHub::StreamHub(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -115,43 +126,25 @@ StreamHub::StreamHub(StreamHub&&) noexcept = default;
 StreamHub& StreamHub::operator=(StreamHub&&) noexcept = default;
 StreamHub::~StreamHub() = default;
 
-size_t StreamHub::AddStream() { return impl_->engine.AddStream(); }
-
-void StreamHub::SetCallback(size_t stream, Callback callback) {
-  if (callback == nullptr) {
-    impl_->engine.SetCallback(stream, nullptr);
-    return;
-  }
-  impl_->engine.SetCallback(
-      stream, [cb = std::move(callback)](stream::StreamId id,
-                                         const stream::ScoredPoint& p) {
-        cb(id, ToStreamPoint(p));
-      });
-}
-
-void StreamHub::Ingest(std::span<const HubBatch> batches) {
-  std::vector<stream::StreamBatch> internal;
-  internal.reserve(batches.size());
-  for (const HubBatch& b : batches) {
-    internal.push_back(stream::StreamBatch{b.stream, b.values});
-  }
-  impl_->engine.Ingest(internal);
+size_t StreamHub::AddStream() {
+  impl_->streams.emplace_back(impl_->options);
+  return impl_->streams.size() - 1;
 }
 
 std::vector<StreamPoint> StreamHub::Ingest(size_t stream,
                                            std::span<const double> values) {
   std::vector<StreamPoint> out;
   out.reserve(values.size());
-  for (const stream::ScoredPoint& p : impl_->engine.Ingest(stream, values)) {
+  for (const stream::ScoredPoint& p : impl_->At(stream).Ingest(values)) {
     out.push_back(ToStreamPoint(p));
   }
   return out;
 }
 
-size_t StreamHub::num_streams() const { return impl_->engine.num_streams(); }
+size_t StreamHub::num_streams() const { return impl_->streams.size(); }
 
 HubStreamStats StreamHub::Stats(size_t stream) const {
-  const stream::StreamDetector& d = impl_->engine.detector(stream);
+  const stream::StreamDetector& d = impl_->At(stream);
   HubStreamStats out;
   out.total_appended = d.total_appended();
   out.buffered = d.buffered();
@@ -163,30 +156,72 @@ HubStreamStats StreamHub::Stats(size_t stream) const {
 
 std::vector<double> StreamHub::RecentScores(size_t stream,
                                             size_t max_points) const {
-  return impl_->engine.detector(stream).RecentScores(max_points);
+  return impl_->At(stream).RecentScores(max_points);
 }
 
 std::vector<uint8_t> StreamHub::Checkpoint() const {
-  return impl_->engine.SaveAll();
-}
-
-std::vector<uint8_t> StreamHub::Checkpoint(const SectionGuard& guard) const {
-  if (!guard) return impl_->engine.SaveAll();
-  return impl_->engine.SaveAll(
-      [&guard](stream::StreamId id, bool acquire) { guard(id, acquire); });
+  // Each section is a full detector snapshot (own envelope + checksum), so
+  // one stream can be extracted from the blob and restored on its own.
+  const auto& streams = impl_->streams;
+  std::vector<std::vector<uint8_t>> sections(streams.size());
+  exec::ParallelFor(impl_->options.ensemble.parallelism, 0, streams.size(),
+                    /*grain=*/1,
+                    [&](size_t i) { sections[i] = streams[i].Serialize(); });
+  std::vector<uint8_t> blob = serialize::WrapEngineSections(sections);
+  Telemetry().journal().Emit(
+      "engine.save_all", {{"streams", std::to_string(sections.size())},
+                          {"bytes", std::to_string(blob.size())}});
+  return blob;
 }
 
 Status StreamHub::Restore(std::span<const uint8_t> blob) {
-  return impl_->engine.LoadAll(blob);
+  std::vector<std::span<const uint8_t>> sections;
+  EGI_RETURN_IF_ERROR(serialize::UnwrapEngineSections(blob, &sections));
+  // Decode every section concurrently; commit only if all of them restored.
+  std::vector<std::optional<stream::StreamDetector>> decoded(sections.size());
+  std::vector<Status> statuses(sections.size());
+  const auto decode = [&](size_t i) {
+    auto result = stream::StreamDetector::Deserialize(sections[i]);
+    if (result.ok()) {
+      decoded[i].emplace(std::move(*result));
+    } else {
+      statuses[i] = result.status();
+    }
+  };
+  exec::ParallelFor(impl_->options.ensemble.parallelism, 0, sections.size(),
+                    /*grain=*/1, decode);
+  std::vector<stream::StreamDetector> restored;
+  restored.reserve(sections.size());
+  for (size_t i = 0; i < sections.size(); ++i) {
+    if (!statuses[i].ok()) {
+      return Status(statuses[i].code(), "stream " + std::to_string(i) + ": " +
+                                            statuses[i].message());
+    }
+    restored.push_back(std::move(*decoded[i]));
+  }
+  impl_->streams = std::move(restored);
+  Telemetry().journal().Emit(
+      "engine.load_all", {{"streams", std::to_string(sections.size())},
+                          {"bytes", std::to_string(blob.size())}});
+  return Status::OK();
 }
 
 Result<std::vector<uint8_t>> StreamHub::CheckpointStream(size_t stream) const {
-  return impl_->engine.SaveStream(stream);
+  if (stream >= impl_->streams.size()) {
+    return Status::NotFound("unknown stream " + std::to_string(stream));
+  }
+  return impl_->streams[stream].Serialize();
 }
 
 Status StreamHub::RestoreStream(size_t stream,
                                 std::span<const uint8_t> blob) {
-  return impl_->engine.LoadStream(stream, blob);
+  if (stream >= impl_->streams.size()) {
+    return Status::NotFound("unknown stream " + std::to_string(stream));
+  }
+  EGI_ASSIGN_OR_RETURN(auto detector,
+                       stream::StreamDetector::Deserialize(blob));
+  impl_->streams[stream] = std::move(detector);
+  return Status::OK();
 }
 
 // ------------------------------------------------------------------- Session
@@ -334,11 +369,8 @@ Result<StreamSession> Session::OpenStream(const StreamOptions& options) const {
 Result<StreamHub> Session::OpenHub(const StreamOptions& options) const {
   EGI_ASSIGN_OR_RETURN(auto detector_options,
                        StreamOptionsFor(*impl_->entry, impl_->values, options));
-  stream::StreamEngineOptions engine_options;
-  engine_options.detector = detector_options;
-  engine_options.parallelism = detector_options.ensemble.parallelism;
   return StreamHub(
-      std::make_unique<StreamHub::Impl>(std::move(engine_options)));
+      std::make_unique<StreamHub::Impl>(std::move(detector_options)));
 }
 
 }  // namespace egi

@@ -68,8 +68,8 @@ using SequiturBuilderLease = exec::ScratchPool<SequiturBuilder>::Lease;
 /// Leases a builder from the process-wide scratch pool. The pool replaces
 /// per-thread builders: leases move freely across threads and runs, so one
 /// warm arena serves the ensemble's N members, every streaming refit, and
-/// every stream in a StreamEngine/StreamHub shard — whichever worker happens
-/// to need it next. The leased builder arrives in its previous holder's
+/// every stream of a StreamHub or the egid daemon — whichever worker
+/// happens to need it next. The leased builder arrives in its previous holder's
 /// end state; call Reset() before appending (RunGrammarInductionOnTokens
 /// does). Returned to the pool when the lease dies; a leased-reset builder
 /// is bitwise-output-equivalent to a fresh one (tested).

@@ -32,43 +32,6 @@ Clock::duration Seconds(double s) {
       std::chrono::duration<double>(s));
 }
 
-/// Extracts a top-level unsigned `"key":123` field from a flat JSON object
-/// (the shard bodies the router reads are its own sibling's output, so a
-/// targeted scan is enough — the string-field twin lives in util/json).
-bool JsonFindUInt(std::string_view body, std::string_view key,
-                  uint64_t* out) {
-  std::string needle;
-  needle.reserve(key.size() + 2);
-  needle += '"';
-  needle += key;
-  needle += '"';
-  size_t pos = body.find(needle);
-  while (pos != std::string_view::npos) {
-    size_t i = pos + needle.size();
-    while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
-                               body[i] == '\r' || body[i] == '\n')) {
-      ++i;
-    }
-    if (i < body.size() && body[i] == ':') {
-      ++i;
-      while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
-                                 body[i] == '\r' || body[i] == '\n')) {
-        ++i;
-      }
-      if (i >= body.size() || body[i] < '0' || body[i] > '9') return false;
-      uint64_t value = 0;
-      while (i < body.size() && body[i] >= '0' && body[i] <= '9') {
-        value = value * 10 + static_cast<uint64_t>(body[i] - '0');
-        ++i;
-      }
-      *out = value;
-      return true;
-    }
-    pos = body.find(needle, pos + 1);
-  }
-  return false;
-}
-
 /// `{"shards":["host:hp:ip",...]}` → the string elements. Endpoint strings
 /// never need JSON escapes, so a backslash (or anything non-string in the
 /// array) is a parse error.

@@ -1,7 +1,7 @@
 #pragma once
 
 // The egid-router's socket-free core (src/router): everything the sharding
-// front door does, behind the same ServiceHandler seam the engine daemon
+// front door does, behind the same ServiceHandler seam the scoring daemon
 // uses — so src/service/server.cc serves it unchanged and the tests drive
 // it in-process with loopback channels (the HubService testability model).
 //

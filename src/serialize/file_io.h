@@ -15,8 +15,8 @@ namespace egi::serialize {
 /// is fsync'd too, so the rename itself survives a power cut). A process
 /// killed at any instant therefore leaves either the previous complete file
 /// or the new complete file at `path` — never a truncated blob. This is the
-/// one way checkpoints reach disk (StreamEngine::SaveAll consumers, the
-/// egid periodic checkpointer); tests/serialize_test.cc proves the
+/// one way checkpoints reach disk (egi::WriteCheckpointFile, the egid
+/// periodic checkpointer); tests/serialize_test.cc proves the
 /// crashed-mid-write case restores the prior checkpoint.
 ///
 /// A stale `path + ".tmp"` left by a crashed writer is silently replaced by

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <string>
+#include <utility>
 
 #include "serialize/bytes.h"
 
@@ -87,32 +88,37 @@ Status UnwrapPayload(std::span<const uint8_t> blob, BlobKind expected_kind,
   return Status::OK();
 }
 
-Status ExtractEngineSection(std::span<const uint8_t> engine_blob, size_t index,
-                            std::vector<uint8_t>* section, size_t* count_out) {
+std::vector<uint8_t> WrapEngineSections(
+    std::span<const std::vector<uint8_t>> sections) {
+  ByteWriter w;
+  w.PutVarint(sections.size());
+  for (const auto& section : sections) {
+    w.PutVarint(section.size());
+    w.PutBytes(section);
+  }
+  return WrapPayload(BlobKind::kStreamEngine, w.bytes());
+}
+
+Status UnwrapEngineSections(std::span<const uint8_t> engine_blob,
+                            std::vector<std::span<const uint8_t>>* sections) {
   std::span<const uint8_t> payload;
   EGI_RETURN_IF_ERROR(
       UnwrapPayload(engine_blob, BlobKind::kStreamEngine, &payload));
   ByteReader r(payload);
   size_t count = 0;
   EGI_RETURN_IF_ERROR(r.ReadLength(&count, /*min_bytes_per_element=*/1));
-  if (count_out != nullptr) *count_out = count;
-  if (index >= count) {
-    return Status::NotFound("engine section " + std::to_string(index) +
-                            " out of range (blob has " +
-                            std::to_string(count) + " sections)");
-  }
+  std::vector<std::span<const uint8_t>> out;
+  out.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     size_t length = 0;
     EGI_RETURN_IF_ERROR(r.ReadLength(&length, 1));
-    if (i == index) {
-      const std::span<const uint8_t> body =
-          payload.subspan(r.position(), length);
-      section->assign(body.begin(), body.end());
-      return Status::OK();
-    }
+    out.push_back(payload.subspan(r.position(), length));
+    // ReadLength validated length <= remaining, so the skip stays in range.
     EGI_RETURN_IF_ERROR(r.Skip(length));
   }
-  return Status::Internal("unreachable: section scan passed the end");
+  EGI_RETURN_IF_ERROR(r.ExpectEnd());
+  *sections = std::move(out);
+  return Status::OK();
 }
 
 }  // namespace egi::serialize

@@ -20,7 +20,7 @@ inline constexpr uint8_t kSnapshotMagic[4] = {'E', 'G', 'I', 'S'};
 /// [kMinSnapshotVersion, kSnapshotVersion] and the per-kind decoders skip
 /// the sections an older revision did not write.
 ///
-/// History: v1 = the original StreamDetector/StreamEngine layout; v2 adds
+/// History: v1 = the original detector and engine-checkpoint layout; v2 adds
 /// the adaptive-cadence options (prune_to, refit_policy, refit_interval_max,
 /// drift_tolerance) and drift-gate runtime state. tests/stream_snapshot_test
 /// pins both: the v1 golden fixture must keep decoding, the v2 golden pins
@@ -32,10 +32,12 @@ inline constexpr uint32_t kMinSnapshotVersion = 1;
 /// never be restored as an engine checkpoint or vice versa.
 enum class BlobKind : uint8_t {
   kStreamDetector = 1,  ///< one StreamDetector (StreamDetector::Serialize)
-  kStreamEngine = 2,    ///< all streams of a StreamEngine (SaveAll)
+  kStreamEngine = 2,    ///< many detector snapshots, one section per stream
+                        ///< (WrapEngineSections: StreamHub::Checkpoint and
+                        ///< the egid checkpoint below)
   kServiceCheckpoint = 3,  ///< egid daemon checkpoint: stream manifest
                            ///< (tenants, names, tombstones) + the enclosed
-                           ///< StreamEngine blob (src/service/hub_service.cc)
+                           ///< kStreamEngine blob (src/service/hub_service.cc)
 };
 
 /// CRC-32 (IEEE 802.3, reflected) of `data`. Snapshot payloads carry their
@@ -58,13 +60,19 @@ Status UnwrapPayload(std::span<const uint8_t> blob, BlobKind expected_kind,
                      std::span<const uint8_t>* payload,
                      uint32_t* version = nullptr);
 
-/// Extracts section `index` from a kStreamEngine blob without decoding any
-/// detector: the result is that stream's complete kStreamDetector envelope,
-/// restorable on its own (the unit the egid-router migrates between
-/// shards). `count` (optional) receives the number of sections in the blob.
-/// Out-of-range `index` and every malformed input are Status errors.
-Status ExtractEngineSection(std::span<const uint8_t> engine_blob, size_t index,
-                            std::vector<uint8_t>* section,
-                            size_t* count = nullptr);
+/// Frames per-stream detector snapshots as one kStreamEngine blob: the
+/// payload is `count | count x (section_len | section)`, and the envelope
+/// checksum covers every stream. Section i is stream i. The only writer of
+/// the kind-2 framing.
+std::vector<uint8_t> WrapEngineSections(
+    std::span<const std::vector<uint8_t>> sections);
+
+/// Inverse of WrapEngineSections: validates the envelope and the framing
+/// (exact consumption) and points `sections` into `engine_blob`, one span per
+/// stream, without decoding any detector. Each span is that stream's
+/// complete kStreamDetector envelope, restorable on its own. Every malformed
+/// input is a Status error, and `sections` is only written on success.
+Status UnwrapEngineSections(std::span<const uint8_t> engine_blob,
+                            std::vector<std::span<const uint8_t>>* sections);
 
 }  // namespace egi::serialize

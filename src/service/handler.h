@@ -3,7 +3,7 @@
 // The seam between the socket layer (server.h) and the request logic: a
 // ServiceHandler is anything that can answer one HTTP control-plane request
 // and one binary ingest frame. Two implementations exist — HubService (the
-// engine-owning daemon, hub_service.h) and RouterCore (the sharding front
+// stream-owning daemon, hub_service.h) and RouterCore (the sharding front
 // door, src/router/router_core.h) — and both stay socket-free so their
 // logic is unit-testable in-process while Server owns the descriptors.
 

@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
@@ -48,6 +49,16 @@ telemetry::Gauge* BacklogGauge() {
   return gauge;
 }
 
+HubStreamStats StatsOf(const StreamSession& session) {
+  HubStreamStats out;
+  out.total_appended = session.total_appended();
+  out.buffered = session.buffered();
+  out.refit_count = session.refit_count();
+  out.fitted = session.fitted();
+  out.window_length = session.window_length();
+  return out;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------- state
@@ -63,6 +74,8 @@ struct HubService::Impl {
   };
 
   struct StreamState {
+    explicit StreamState(StreamSession s) : session(std::move(s)) {}
+
     std::string tenant_name;
     std::string name;
     Tenant* tenant = nullptr;  // stable: tenants are never destroyed
@@ -74,18 +87,18 @@ struct HubService::Impl {
     uint64_t accepted_total = 0;
     bool scheduled = false;  // a drain task is queued or running
 
-    // Score path (drain tasks + checkpoint guard).
+    // Score path (drain tasks + checkpoints).
     mutable std::mutex detect_mu;
+    StreamSession session;  // guarded by detect_mu
     std::atomic<int> checkpoint_waiters{0};  // see CheckpointNow
     std::atomic<uint64_t> scored_total{0};
     std::atomic<double> last_score{0.0};
     std::atomic<bool> last_scored{false};
   };
 
-  Impl(HubServiceOptions opts, Session session, StreamHub hub)
+  Impl(HubServiceOptions opts, Session session)
       : options(std::move(opts)),
         session(std::move(session)),
-        hub(std::move(hub)),
         now_ns(options.now_ns ? options.now_ns : SteadyNowNs) {}
 
   HubServiceOptions options;
@@ -95,11 +108,12 @@ struct HubService::Impl {
   // exclusively; ingest, queries, and checkpoints take it shared. Stream
   // and tenant objects are held by pointer so they never move.
   mutable std::shared_mutex struct_mu;
-  StreamHub hub;
   std::vector<std::unique_ptr<StreamState>> streams;
   std::unordered_map<std::string, std::unique_ptr<Tenant>> tenants;
 
   std::function<uint64_t()> now_ns;
+  // Checkpoint and restore fan-out: one stream per chunk over the pool.
+  const exec::Parallelism fan_out = exec::Parallelism::FromEnv();
   std::atomic<bool> draining{false};
   std::atomic<size_t> last_checkpoint_bytes{0};
 
@@ -141,10 +155,10 @@ Result<std::unique_ptr<HubService>> HubService::Create(
     return Status::InvalidArgument("quota options must be finite and >= 0");
   }
   EGI_ASSIGN_OR_RETURN(auto session, Session::Open(options.spec));
-  EGI_ASSIGN_OR_RETURN(auto hub, session.OpenHub(options.stream));
+  // Every CreateStream opens a stream of this shape: reject a bad one here.
+  EGI_RETURN_IF_ERROR(session.OpenStream(options.stream).status());
 
-  auto impl = std::make_unique<Impl>(std::move(options), std::move(session),
-                                     std::move(hub));
+  auto impl = std::make_unique<Impl>(std::move(options), std::move(session));
   auto service =
       std::unique_ptr<HubService>(new HubService(std::move(impl)));
   EGI_RETURN_IF_ERROR(service->RestoreFromDisk());
@@ -321,14 +335,19 @@ void HubService::Impl::DrainStream(size_t id) {
     {
       telemetry::ScopedTimer timer(drain_hist);
       std::lock_guard<std::mutex> lock(st.detect_mu);
-      const std::vector<StreamPoint> points = hub.Ingest(id, chunk);
-      st.scored_total.fetch_add(points.size(), std::memory_order_relaxed);
-      for (auto it = points.rbegin(); it != points.rend(); ++it) {
-        if (it->scored) {
-          st.last_score.store(it->score, std::memory_order_relaxed);
-          st.last_scored.store(true, std::memory_order_relaxed);
-          break;
+      bool any_scored = false;
+      double last = 0.0;
+      for (const double v : chunk) {
+        const StreamPoint p = st.session.Append(v);
+        if (p.scored) {
+          any_scored = true;
+          last = p.score;
         }
+      }
+      st.scored_total.fetch_add(chunk.size(), std::memory_order_relaxed);
+      if (any_scored) {
+        st.last_score.store(last, std::memory_order_relaxed);
+        st.last_scored.store(true, std::memory_order_relaxed);
       }
     }
     scored_counter->Add(chunk.size());
@@ -365,8 +384,10 @@ Result<size_t> HubService::CreateStream(std::string tenant,
         "tenant '" + tenant + "' is at its stream quota (" +
         std::to_string(impl_->options.max_streams_per_tenant) + ")");
   }
-  const size_t id = impl_->hub.AddStream();
-  auto st = std::make_unique<Impl::StreamState>();
+  EGI_ASSIGN_OR_RETURN(auto session,
+                       impl_->session.OpenStream(impl_->options.stream));
+  const size_t id = impl_->streams.size();
+  auto st = std::make_unique<Impl::StreamState>(std::move(session));
   st->tenant_name = std::move(tenant);
   st->name = std::move(name);
   st->tenant = owner;
@@ -389,7 +410,7 @@ Status HubService::DeleteStream(size_t stream) {
   Impl::StreamState& st = *impl_->streams[stream];
   st.deleted = true;
   st.tenant->live_streams -= 1;
-  // Drop anything still queued; the detector state stays (tombstoned
+  // Drop anything still queued; the stream state stays (tombstoned
   // sections still checkpoint, keeping ids positionally stable).
   {
     std::lock_guard<std::mutex> lock(st.queue_mu);
@@ -419,7 +440,7 @@ StreamInfo HubService::Impl::DescribeLocked(size_t id) const {
   info.last_scored = st.last_scored.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(st.detect_mu);
-    info.stats = hub.Stats(id);
+    info.stats = StatsOf(st.session);
   }
   return info;
 }
@@ -451,7 +472,7 @@ Result<std::vector<double>> HubService::RecentScores(
   }
   Impl::StreamState& st = *impl_->streams[stream];
   std::lock_guard<std::mutex> lock(st.detect_mu);
-  return impl_->hub.RecentScores(stream, max_points);
+  return st.session.RecentScores(max_points);
 }
 
 size_t HubService::num_streams() const {
@@ -487,23 +508,25 @@ Status HubService::CheckpointNow() {
     writer.PutString(st->name);
     writer.PutBool(st->deleted);
   }
-  // Consistent under load: the guard takes each stream's detect mutex for
-  // exactly the serialization of that stream's section.
+  // Consistent under load: each stream's section is serialized under its
+  // detect mutex, one stream per chunk across the pool, while the other
+  // streams keep draining.
+  std::vector<std::vector<uint8_t>> sections(impl_->streams.size());
+  const auto serialize_stream = [&](size_t i) {
+    Impl::StreamState& st = *impl_->streams[i];
+    // A drain that keeps its stream saturated re-takes the mutex between
+    // chunks within microseconds, before a woken checkpoint gets a core when
+    // every core runs a drain; announced, the checkpoint goes first and
+    // waits for at most one chunk per stream.
+    st.checkpoint_waiters.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(st.detect_mu);
+    st.checkpoint_waiters.fetch_sub(1, std::memory_order_relaxed);
+    sections[i] = st.session.Checkpoint();
+  };
+  exec::ParallelFor(impl_->fan_out, 0, sections.size(), /*grain=*/1,
+                    serialize_stream);
   const std::vector<uint8_t> engine_blob =
-      impl_->hub.Checkpoint([this](size_t stream, bool acquire) {
-        Impl::StreamState& st = *impl_->streams[stream];
-        if (!acquire) {
-          st.detect_mu.unlock();
-          return;
-        }
-        // A drain that keeps its stream saturated re-takes the mutex
-        // between chunks within microseconds, before the woken guard gets a
-        // core when every core runs a drain; announced, the guard goes
-        // first and a checkpoint waits for at most one chunk per stream.
-        st.checkpoint_waiters.fetch_add(1, std::memory_order_relaxed);
-        st.detect_mu.lock();
-        st.checkpoint_waiters.fetch_sub(1, std::memory_order_relaxed);
-      });
+      serialize::WrapEngineSections(sections);
   writer.PutVarint(engine_blob.size());
   writer.PutBytes(engine_blob);
 
@@ -559,31 +582,54 @@ Status HubService::RestoreFromDisk() {
     return Status::InvalidArgument(
         "service checkpoint: engine blob length mismatch");
   }
-  const std::span<const uint8_t> engine_blob =
-      payload.subspan(reader.position(), engine_len);
+  std::vector<std::span<const uint8_t>> sections;
+  EGI_RETURN_IF_ERROR(serialize::UnwrapEngineSections(
+      payload.subspan(reader.position(), engine_len), &sections));
+  if (sections.size() != manifest.size()) {
+    return Status::InvalidArgument(
+        "service checkpoint: " + std::to_string(manifest.size()) +
+        " manifest entries but " + std::to_string(sections.size()) +
+        " stream sections");
+  }
+  // Decode every section concurrently; commit only if all of them restored.
+  std::vector<std::optional<StreamSession>> restored(sections.size());
+  std::vector<Status> statuses(sections.size());
+  const auto restore_stream = [&](size_t i) {
+    auto result = StreamSession::Restore(sections[i]);
+    if (result.ok()) {
+      restored[i].emplace(std::move(*result));
+    } else {
+      statuses[i] = result.status();
+    }
+  };
+  exec::ParallelFor(impl_->fan_out, 0, sections.size(), /*grain=*/1,
+                    restore_stream);
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    if (!statuses[i].ok()) {
+      return Status(statuses[i].code(), "stream " + std::to_string(i) + ": " +
+                                            statuses[i].message());
+    }
+  }
 
   std::unique_lock<std::shared_mutex> structural(impl_->struct_mu);
   if (impl_->pending_points.load(std::memory_order_acquire) != 0) {
     return Status::FailedPrecondition(
         "restore with points still queued; Flush first");
   }
-  EGI_RETURN_IF_ERROR(impl_->hub.Restore(engine_blob));
-  // From here on nothing can fail: rebuild the service-side stream table to
-  // mirror the restored hub.
+  // From here on nothing can fail: rebuild the stream table from the
+  // manifest and the restored streams.
   impl_->streams.clear();
   impl_->tenants.clear();
   for (size_t i = 0; i < manifest.size(); ++i) {
-    auto st = std::make_unique<Impl::StreamState>();
+    auto st = std::make_unique<Impl::StreamState>(std::move(*restored[i]));
     st->tenant_name = std::move(manifest[i].tenant);
     st->name = std::move(manifest[i].name);
     st->deleted = manifest[i].deleted;
     st->tenant = impl_->GetOrCreateTenant(st->tenant_name);
     if (!st->deleted) st->tenant->live_streams += 1;
-    const HubStreamStats stats = impl_->hub.Stats(i);
-    st->accepted_total = stats.total_appended;
-    st->scored_total.store(stats.total_appended,
-                           std::memory_order_relaxed);
-    const std::vector<double> last = impl_->hub.RecentScores(i, 1);
+    st->accepted_total = st->session.total_appended();
+    st->scored_total.store(st->accepted_total, std::memory_order_relaxed);
+    const std::vector<double> last = st->session.RecentScores(1);
     if (!last.empty() && !std::isnan(last.back())) {
       st->last_score.store(last.back(), std::memory_order_relaxed);
       st->last_scored.store(true, std::memory_order_relaxed);
@@ -616,7 +662,7 @@ Result<std::vector<uint8_t>> HubService::ExportStreamCheckpoint(
         "stream " + std::to_string(stream) +
         " still has unscored points; flush first");
   }
-  EGI_ASSIGN_OR_RETURN(auto blob, impl_->hub.CheckpointStream(stream));
+  std::vector<uint8_t> blob = st.session.Checkpoint();
   exports->Add(1);
   Telemetry().journal().Emit(
       "service.stream_export", {{"stream", std::to_string(stream)},
@@ -639,13 +685,12 @@ Status HubService::ImportStreamCheckpoint(size_t stream,
         "stream " + std::to_string(stream) +
         " still has unscored points; flush first");
   }
-  EGI_RETURN_IF_ERROR(impl_->hub.RestoreStream(stream, blob));
-  // Reconcile the admission counters from the restored detector: the blob
-  // is the source of truth for how many points this stream has consumed.
-  const HubStreamStats stats = impl_->hub.Stats(stream);
-  st.accepted_total = stats.total_appended;
-  st.scored_total.store(stats.total_appended, std::memory_order_relaxed);
-  const std::vector<double> last = impl_->hub.RecentScores(stream, 1);
+  EGI_ASSIGN_OR_RETURN(st.session, StreamSession::Restore(blob));
+  // Reconcile the admission counters from the restored stream: the blob is
+  // the source of truth for how many points this stream has consumed.
+  st.accepted_total = st.session.total_appended();
+  st.scored_total.store(st.accepted_total, std::memory_order_relaxed);
+  const std::vector<double> last = st.session.RecentScores(1);
   if (!last.empty() && !std::isnan(last.back())) {
     st.last_score.store(last.back(), std::memory_order_relaxed);
     st.last_scored.store(true, std::memory_order_relaxed);

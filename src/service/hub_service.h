@@ -1,40 +1,42 @@
 #pragma once
 
-// The egid daemon's socket-free core (src/service): a multi-tenant
-// StreamHub wrapped with everything the network layer needs but the library
-// deliberately does not provide — admission control, asynchronous bounded
-// ingest queues, and durable checkpoints. server.cc plugs sockets into the
-// two entry points (Handle for HTTP control-plane requests, HandleIngest
-// for binary data-plane frames); tests drive both in-process.
+// The egid daemon's socket-free core (src/service): one StreamSession per
+// stream, opened from the service's Session, wrapped with everything the
+// network layer needs but the library deliberately does not provide —
+// admission control, asynchronous bounded ingest queues, and durable
+// checkpoints. server.cc plugs sockets into the two entry points (Handle
+// for HTTP control-plane requests, HandleIngest for binary data-plane
+// frames); tests drive both in-process.
 //
 // Concurrency model (see DESIGN.md, "Service architecture"):
 //  - A shared_mutex guards the stream table's *shape*: CreateStream /
 //    DeleteStream / RestoreFromDisk take it exclusively, every other
-//    operation shared. Stream ids are dense hub indices; deletion is a
+//    operation shared. Stream ids are dense table indices; deletion is a
 //    tombstone so ids stay positionally stable across checkpoint/restore.
 //  - Each stream has a small queue mutex (accept path: bounded queue,
-//    accepted counter) and a detect mutex (score path: the hub detector).
+//    accepted counter) and a detect mutex (score path: its StreamSession).
 //    Frame handlers only ever touch the queue mutex, so a slow refit never
 //    blocks the TCP threads — backpressure is an immediate reject frame,
 //    not a stalled socket.
 //  - Scoring runs on the process-wide exec pool (one worker per core), the
 //    service's only scheduler. Admitting points into an idle stream's queue
 //    posts one drain task for that stream (a scheduled flag keeps a stream
-//    on at most one task, preserving append order); the task advances the
-//    detector under the detect mutex until the queue is empty. A refit
-//    inside a drain fans its ensemble members out onto the same pool, so
-//    its helpers queue behind the drains already waiting: streams run in
-//    parallel first, and a refit's members spread only onto idle workers.
-//  - CheckpointNow serializes every stream through StreamHub's SectionGuard
-//    taking the same detect mutexes (ahead of the stream's drain, which
-//    yields between chunks), so a checkpoint under full ingest load
-//    captures a consistent point-in-time snapshot of each stream, then
-//    lands on disk via serialize::WriteFileAtomic (crash leaves the
-//    previous complete checkpoint). Queued-but-unscored points are *not*
-//    part of a checkpoint: an ack means "accepted", durability begins once
-//    a point has been scored into a checkpointed detector. Clients that
-//    need exactly-once resumption reconcile against `accepted_total` after
-//    a reconnect.
+//    on at most one task, preserving append order); the task appends the
+//    queued points to the stream's session under the detect mutex until
+//    the queue is empty. A refit inside a drain fans its ensemble members
+//    out onto the same pool, so its helpers queue behind the drains already
+//    waiting: streams run in parallel first, and a refit's members spread
+//    only onto idle workers.
+//  - CheckpointNow serializes each stream under its detect mutex (ahead of
+//    the stream's drain, which yields between chunks), streams in parallel
+//    on the pool, so a checkpoint under full ingest load captures a
+//    consistent point-in-time snapshot of each stream, then lands on disk
+//    via serialize::WriteFileAtomic (crash leaves the previous complete
+//    checkpoint). Queued-but-unscored points are *not* part of a
+//    checkpoint: an ack means "accepted", durability begins once a point
+//    has been scored into a checkpointed stream. Clients that need
+//    exactly-once resumption reconcile against `accepted_total` after a
+//    reconnect.
 //  - Tenant quotas: max streams per tenant, and a token-bucket points/sec
 //    rate. The bucket clock is injectable so quota tests are deterministic.
 

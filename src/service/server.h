@@ -3,7 +3,7 @@
 // The egid daemon's socket layer (src/service): owns the listening sockets
 // and connection threads, and nothing else — every byte that arrives is
 // handed to a socket-free ServiceHandler (handler.h: HubService for the
-// engine daemon, RouterCore for the sharding router), which is where all
+// scoring daemon, RouterCore for the sharding router), which is where all
 // the logic and all the unit tests live.
 //
 // Two listeners:

@@ -14,8 +14,7 @@
 
 namespace egi::stream {
 
-/// One scored stream point, as returned by StreamDetector::Append and
-/// delivered to StreamEngine callbacks.
+/// One scored stream point, as returned by StreamDetector::Append.
 struct ScoredPoint {
   uint64_t index = 0;   ///< 0-based position in the stream since creation
   double value = 0.0;   ///< the ingested value
@@ -91,8 +90,9 @@ struct StreamDetectorOptions {
 ///   guarantee, enforced by tests/stream_detector_test.cc), and the
 ///   per-member word-frequency models are rebuilt.
 ///
-/// Detectors are single-stream and not thread-safe; shard many streams with
-/// `StreamEngine`.
+/// Detectors are single-stream and not thread-safe; many streams are many
+/// detectors, each advanced by one thread at a time (egi::StreamHub, or the
+/// egid daemon's per-stream drains).
 class StreamDetector {
  public:
   explicit StreamDetector(StreamDetectorOptions options);
@@ -109,7 +109,8 @@ class StreamDetector {
   ScoredPoint Append(double value);
 
   /// Batch ingest: appends every value in order, returning one ScoredPoint
-  /// per value. No backpressure — the ring evicts the oldest history.
+  /// per value. No backpressure — the ring evicts the oldest history. Its
+  /// latency is the `stream.ingest_batch_seconds` histogram.
   std::vector<ScoredPoint> Ingest(std::span<const double> values);
 
   /// Runs a batch refit now (also called internally every refit_interval
@@ -164,8 +165,7 @@ class StreamDetector {
   /// "Snapshot format"). A detector restored from the blob continues
   /// **bitwise-identically** to the uninterrupted original: same scores,
   /// same refit boundaries, same member stats (the continuation-equivalence
-  /// guarantee, enforced by tests/stream_snapshot_test.cc). Callbacks are a
-  /// StreamEngine concern and are not captured.
+  /// guarantee, enforced by tests/stream_snapshot_test.cc).
   std::vector<uint8_t> Serialize() const;
 
   /// Restores a detector from a Serialize() blob. Every malformed input —

@@ -84,7 +84,11 @@ int GetEnvNumThreads() {
     return static_cast<int>(
         std::min<int64_t>(requested, std::numeric_limits<int>::max()));
   }
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  // Read once: hardware_concurrency() costs a sysfs read, and every
+  // default-constructed EnsembleParams (one per opened stream) asks.
+  static const int cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return cores;
 }
 
 }  // namespace egi

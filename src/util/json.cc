@@ -147,38 +147,59 @@ std::string JsonNumber(double value) {
   return buf;
 }
 
-bool JsonFindString(std::string_view body, std::string_view key,
-                    std::string* out) {
+namespace {
+
+size_t SkipJsonSpace(std::string_view body, size_t i) {
+  while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
+                             body[i] == '\r' || body[i] == '\n')) {
+    ++i;
+  }
+  return i;
+}
+
+// Offset of the first non-space byte after the `"key":` of a flat JSON
+// object, or npos. A "key" that matches inside some other string (not
+// followed by a colon) is skipped.
+size_t FindJsonValue(std::string_view body, std::string_view key) {
   std::string needle;
   needle.reserve(key.size() + 2);
   needle += '"';
   needle += key;
   needle += '"';
-  size_t pos = body.find(needle);
-  while (pos != std::string_view::npos) {
-    size_t i = pos + needle.size();
-    while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
-                               body[i] == '\r' || body[i] == '\n')) {
-      ++i;
-    }
-    if (i < body.size() && body[i] == ':') {
-      ++i;
-      while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
-                                 body[i] == '\r' || body[i] == '\n')) {
-        ++i;
-      }
-      if (i >= body.size() || body[i] != '"') return false;
-      const size_t start = ++i;
-      while (i < body.size() && body[i] != '"') {
-        i += body[i] == '\\' ? 2 : 1;
-      }
-      if (i >= body.size()) return false;  // unterminated
-      return JsonUnescape(body.substr(start, i - start), out);
-    }
-    // "key" matched inside some other string; keep looking.
-    pos = body.find(needle, pos + 1);
+  for (size_t pos = body.find(needle); pos != std::string_view::npos;
+       pos = body.find(needle, pos + 1)) {
+    const size_t i = SkipJsonSpace(body, pos + needle.size());
+    if (i < body.size() && body[i] == ':') return SkipJsonSpace(body, i + 1);
   }
-  return false;
+  return std::string_view::npos;
+}
+
+}  // namespace
+
+bool JsonFindString(std::string_view body, std::string_view key,
+                    std::string* out) {
+  size_t i = FindJsonValue(body, key);
+  if (i >= body.size() || body[i] != '"') return false;
+  const size_t start = ++i;
+  while (i < body.size() && body[i] != '"') {
+    i += body[i] == '\\' ? 2 : 1;
+  }
+  if (i >= body.size()) return false;  // unterminated
+  return JsonUnescape(body.substr(start, i - start), out);
+}
+
+bool JsonFindUInt(std::string_view body, std::string_view key,
+                  uint64_t* out) {
+  size_t i = FindJsonValue(body, key);
+  if (i >= body.size() || body[i] < '0' || body[i] > '9') return false;
+  uint64_t value = 0;
+  for (; i < body.size() && body[i] >= '0' && body[i] <= '9'; ++i) {
+    const auto digit = static_cast<uint64_t>(body[i] - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;  // past 2^64 - 1
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace egi

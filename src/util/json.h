@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -36,5 +37,11 @@ std::string JsonNumber(double value);
 /// round-trip. Shared by the egid daemon and the egid-router.
 bool JsonFindString(std::string_view body, std::string_view key,
                     std::string* out);
+
+/// Extracts the unsigned integer value of a top-level `"key":123` pair, by
+/// the same key scan as JsonFindString. False when the key is missing, the
+/// value does not start with a digit, or it exceeds 2^64 - 1.
+bool JsonFindUInt(std::string_view body, std::string_view key,
+                  uint64_t* out);
 
 }  // namespace egi

@@ -16,8 +16,8 @@
 #include "core/gi.h"
 #include "datasets/planted.h"
 #include "egi/egi.h"
+#include "serialize/format.h"
 #include "stream/detector.h"
-#include "stream/engine.h"
 #include "util/rng.h"
 
 namespace egi {
@@ -196,6 +196,7 @@ TEST_P(FacadeEquivalenceTest, CheckpointRoundTripMatchesDirect) {
   EXPECT_EQ(restored->Checkpoint(), direct_restored->Serialize());
 }
 
+// The hub against one StreamDetector per stream, driven directly.
 TEST_P(FacadeEquivalenceTest, HubMatchesEngine) {
   const int threads = GetParam();
   const auto& series = TestSeries();
@@ -206,32 +207,25 @@ TEST_P(FacadeEquivalenceTest, HubMatchesEngine) {
   auto hub = session->OpenHub(FacadeStreamOptions());
   ASSERT_TRUE(hub.ok());
 
-  stream::StreamEngineOptions engine_options;
-  engine_options.detector = DirectStreamOptions(threads);
-  engine_options.parallelism = exec::Parallelism::Fixed(threads);
-  stream::StreamEngine engine(engine_options);
-
-  for (int s = 0; s < 3; ++s) {
-    hub->AddStream();
-    engine.AddStream();
-  }
-  std::vector<HubBatch> hub_batches;
-  std::vector<stream::StreamBatch> engine_batches;
+  std::vector<stream::StreamDetector> direct;
   for (size_t s = 0; s < 3; ++s) {
-    hub_batches.push_back(HubBatch{s, feed});
-    engine_batches.push_back(stream::StreamBatch{s, feed});
+    EXPECT_EQ(hub->AddStream(), s);
+    direct.emplace_back(DirectStreamOptions(threads));
+    hub->Ingest(s, feed);
+    direct[s].Ingest(feed);
   }
-  hub->Ingest(hub_batches);
-  engine.Ingest(engine_batches);
+  EXPECT_EQ(hub->num_streams(), direct.size());
 
-  EXPECT_EQ(hub->num_streams(), engine.num_streams());
-  EXPECT_EQ(hub->Checkpoint(), engine.SaveAll());
+  // The hub blob frames exactly the detectors' own snapshots.
+  std::vector<std::vector<uint8_t>> sections;
+  for (const auto& d : direct) sections.push_back(d.Serialize());
+  EXPECT_EQ(hub->Checkpoint(), serialize::WrapEngineSections(sections));
 
-  // Per-stream continuation through the hub matches the engine.
+  // Per-stream continuation through the hub matches the detectors.
   const auto rest = std::span<const double>(series).subspan(series.size() / 2);
   for (size_t s = 0; s < 3; ++s) {
     const auto facade_points = hub->Ingest(s, rest);
-    const auto direct_points = engine.Ingest(s, rest);
+    const auto direct_points = direct[s].Ingest(rest);
     ASSERT_EQ(facade_points.size(), direct_points.size());
     for (size_t i = 0; i < facade_points.size(); ++i) {
       ExpectSamePoint(facade_points[i], direct_points[i]);
@@ -285,9 +279,10 @@ TEST(FacadeTest, HubRecentScoresIsTheTailOfTheScoreBuffer) {
   for (const size_t k : {size_t{0}, size_t{1}, size_t{37}, size_t{512},
                          size_t{513}, size_t{100000}}) {
     const size_t n = std::min(k, all.size());
-    ExpectSameCurve(hub->RecentScores(0, k),
-                    std::vector<double>(all.end() - static_cast<ptrdiff_t>(n),
-                                        all.end()));
+    const std::vector<double> tail(all.end() - static_cast<ptrdiff_t>(n),
+                                   all.end());
+    ExpectSameCurve(hub->RecentScores(0, k), tail);
+    ExpectSameCurve(session_stream->RecentScores(k), tail);
   }
 
   EXPECT_EQ(hub->Stats(1).refit_count, 0u);
@@ -296,6 +291,79 @@ TEST(FacadeTest, HubRecentScoresIsTheTailOfTheScoreBuffer) {
     EXPECT_EQ(tail.size(), std::min<size_t>(k, 100));
     for (const double s : tail) EXPECT_TRUE(std::isnan(s));
   }
+}
+
+// Single-stream ingest returns one scored point per value and advances the
+// stream's counters.
+TEST(StreamHubTest, SingleStreamIngestReturnsScores) {
+  auto session = Session::Open(EnsembleSpec(1));
+  ASSERT_TRUE(session.ok());
+  auto hub = session->OpenHub(FacadeStreamOptions());
+  ASSERT_TRUE(hub.ok());
+  const size_t id = hub->AddStream();
+  const auto feed = std::span<const double>(TestSeries()).first(300);
+  const auto scored = hub->Ingest(id, feed);
+  ASSERT_EQ(scored.size(), feed.size());
+  EXPECT_EQ(scored.back().index, feed.size() - 1);
+  EXPECT_EQ(hub->Stats(id).total_appended, feed.size());
+  EXPECT_TRUE(hub->Stats(id).fitted);
+}
+
+// A per-stream checkpoint (the unit of shard migration) is byte-identical
+// to that stream's section of a whole-hub checkpoint: one format, two
+// granularities.
+TEST(StreamHubTest, CheckpointStreamMatchesEngineBlobSection) {
+  auto session = Session::Open(EnsembleSpec(1));
+  ASSERT_TRUE(session.ok());
+  auto hub = session->OpenHub(FacadeStreamOptions());
+  ASSERT_TRUE(hub.ok());
+  for (size_t s = 0; s < 3; ++s) {
+    hub->AddStream();
+    hub->Ingest(s, std::span<const double>(TestSeries()).first(150 + 70 * s));
+  }
+
+  const auto blob = hub->Checkpoint();
+  std::vector<std::span<const uint8_t>> sections;
+  ASSERT_TRUE(serialize::UnwrapEngineSections(blob, &sections).ok());
+  ASSERT_EQ(sections.size(), 3u);
+  for (size_t s = 0; s < 3; ++s) {
+    auto standalone = hub->CheckpointStream(s);
+    ASSERT_TRUE(standalone.ok()) << standalone.status();
+    EXPECT_TRUE(std::ranges::equal(sections[s], *standalone)) << "stream " << s;
+  }
+  EXPECT_FALSE(hub->CheckpointStream(99).ok());
+}
+
+// A stream moved to another hub via CheckpointStream/RestoreStream
+// continues scoring bitwise-identically to the one it was copied from.
+TEST(StreamHubTest, RestoreStreamContinuesBitwiseIdentically) {
+  auto session = Session::Open(EnsembleSpec(1));
+  ASSERT_TRUE(session.ok());
+  const auto& series = TestSeries();
+  const auto first = std::span<const double>(series).first(series.size() / 3);
+  const auto rest = std::span<const double>(series).subspan(first.size());
+
+  auto source = session->OpenHub(FacadeStreamOptions());
+  ASSERT_TRUE(source.ok());
+  source->AddStream();
+  source->Ingest(0, first);
+  auto blob = source->CheckpointStream(0);
+  ASSERT_TRUE(blob.ok()) << blob.status();
+
+  auto target = session->OpenHub(FacadeStreamOptions());
+  ASSERT_TRUE(target.ok());
+  target->AddStream();
+  ASSERT_TRUE(target->RestoreStream(0, *blob).ok());
+  EXPECT_EQ(target->Stats(0).total_appended, first.size());
+
+  const auto expected = source->Ingest(0, rest);
+  const auto migrated = target->Ingest(0, rest);
+  ASSERT_EQ(expected.size(), migrated.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_TRUE(SameBits(expected[i].score, migrated[i].score)) << i;
+    ASSERT_EQ(expected[i].refit, migrated[i].refit);
+  }
+  EXPECT_FALSE(target->RestoreStream(7, *blob).ok());  // bounds-checked
 }
 
 // ------------------------------------------------------------- capabilities

@@ -3,6 +3,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -543,6 +544,38 @@ TEST(EnvelopeTest, Crc32MatchesKnownVector) {
   // The classic check value: CRC-32("123456789") = 0xCBF43926.
   const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(Crc32(data), 0xCBF43926u);
+}
+
+// ------------------------------------------------ engine section framing
+
+TEST(EngineSectionsTest, RoundTripAndMalformedFramingIsRejected) {
+  const std::vector<std::vector<uint8_t>> sections = {{1, 2, 3}, {4}, {5, 6}};
+  const auto blob = WrapEngineSections(sections);
+  std::vector<std::span<const uint8_t>> read;
+  ASSERT_TRUE(UnwrapEngineSections(blob, &read).ok());
+  ASSERT_EQ(read.size(), sections.size());
+  for (size_t i = 0; i < sections.size(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(read[i], sections[i])) << "section " << i;
+  }
+  ASSERT_TRUE(UnwrapEngineSections(WrapEngineSections({}), &read).ok());
+  EXPECT_TRUE(read.empty());
+
+  // CRC-valid payloads with broken framing: a section running past the
+  // end, trailing bytes, a count larger than the payload, and the wrong
+  // blob kind.
+  read.assign(1, std::span<const uint8_t>());
+  const std::vector<std::vector<uint8_t>> bad_payloads = {
+      {1, 5, 9}, {1, 1, 9, 0}, {200, 1}};
+  for (const auto& payload : bad_payloads) {
+    const auto bad = WrapPayload(BlobKind::kStreamEngine, payload);
+    EXPECT_FALSE(UnwrapEngineSections(bad, &read).ok());
+  }
+  std::span<const uint8_t> body;
+  ASSERT_TRUE(UnwrapPayload(blob, BlobKind::kStreamEngine, &body).ok());
+  EXPECT_FALSE(UnwrapEngineSections(
+                   WrapPayload(BlobKind::kStreamDetector, body), &read)
+                   .ok());
+  EXPECT_EQ(read.size(), 1u);  // untouched on failure
 }
 
 // ------------------------------------------------- atomic checkpoint files

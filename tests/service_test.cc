@@ -20,7 +20,9 @@
 #include "datasets/random_walk.h"
 #include "egi/session.h"
 #include "egi/telemetry.h"
+#include "serialize/bytes.h"
 #include "serialize/file_io.h"
+#include "serialize/format.h"
 #include "service/frame.h"
 #include "service/http.h"
 #include "service/hub_service.h"
@@ -316,6 +318,18 @@ TEST_F(ServiceTest, StreamLifecycleCreateListDescribeDelete) {
   auto c = service->CreateStream("acme", "net");
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(*c, 2u);
+}
+
+TEST_F(ServiceTest, CreateRejectsBadOptions) {
+  std::vector<HubServiceOptions> bad(5, SmallServiceOptions());
+  bad[0].stream.window_length = 0;
+  bad[1].stream.buffer_capacity = 16;  // < window_length
+  bad[2].stream.refit_interval = 0;
+  bad[3].spec = "discord";  // no streaming support
+  bad[4].queue_capacity = 0;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_FALSE(HubService::Create(bad[i]).ok()) << "case " << i;
+  }
 }
 
 TEST_F(ServiceTest, PerTenantStreamQuota) {
@@ -734,6 +748,165 @@ TEST_F(ServiceTest, CheckpointUnderConcurrentIngest) {
     EXPECT_EQ(*restored->RecentScores(s, 64), *service->RecentScores(s, 64))
         << s;
   }
+}
+
+// Every checkpoint written while a producer feeds the service — not only
+// the final one — is a consistent cut of each stream: restored into a fresh
+// service and fed the rest of each series from its restored scored_total,
+// it ends bitwise-identical to an uninterrupted run.
+TEST_F(ServiceTest, CheckpointUnderLoadCapturesConsistentSections) {
+  constexpr size_t kStreams = 3;
+  constexpr size_t kPoints = 480;
+  constexpr size_t kFrame = 20;
+  std::vector<std::vector<double>> series;
+  for (size_t s = 0; s < kStreams; ++s) {
+    Rng rng(500 + s);
+    series.push_back(datasets::MakeRandomWalk(kPoints, rng));
+  }
+  const auto send_round = [&](HubService& service, size_t off) {
+    for (size_t s = 0; s < kStreams; ++s) {
+      EXPECT_EQ(
+          SendPoints(service, s, std::span(series[s]).subspan(off, kFrame))
+              .type,
+          FrameType::kAck);
+    }
+  };
+
+  std::vector<std::vector<double>> reference(kStreams);
+  {
+    auto uninterrupted = MustCreate(SmallServiceOptions());
+    for (size_t s = 0; s < kStreams; ++s) {
+      ASSERT_TRUE(uninterrupted->CreateStream("t", std::to_string(s)).ok());
+    }
+    for (size_t off = 0; off < kPoints; off += kFrame) {
+      send_round(*uninterrupted, off);
+    }
+    uninterrupted->Flush();
+    for (size_t s = 0; s < kStreams; ++s) {
+      reference[s] = *uninterrupted->RecentScores(s, kPoints);
+    }
+  }
+
+  auto options = SmallServiceOptions();
+  options.checkpoint_path = Path("ckpt.egis");
+  auto service = MustCreate(options);
+  for (size_t s = 0; s < kStreams; ++s) {
+    ASSERT_TRUE(service->CreateStream("t", std::to_string(s)).ok());
+  }
+  // After each round the producer waits for one more checkpoint, so every
+  // round's drains race a checkpoint.
+  std::atomic<size_t> written{0};
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    for (size_t off = 0, round = 0; off < kPoints; off += kFrame, ++round) {
+      send_round(*service, off);
+      while (written.load() <= round) std::this_thread::yield();
+    }
+    service->Flush();
+    done.store(true);
+  });
+  std::vector<std::vector<uint8_t>> files;
+  while (!done.load()) {
+    ASSERT_TRUE(service->CheckpointNow().ok());
+    auto bytes = serialize::ReadFileBytes(options.checkpoint_path);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    files.push_back(std::move(*bytes));
+    written.fetch_add(1);
+  }
+  producer.join();
+  ASSERT_GE(files.size(), kPoints / kFrame);
+
+  auto restore_options = SmallServiceOptions();
+  restore_options.checkpoint_path = Path("restore.egis");
+  for (size_t c = 0; c < files.size(); ++c) {
+    ASSERT_TRUE(
+        serialize::WriteFileAtomic(restore_options.checkpoint_path, files[c])
+            .ok());
+    auto restored = MustCreate(restore_options);
+    for (size_t s = 0; s < kStreams; ++s) {
+      const uint64_t at = restored->Describe(s)->scored_total;
+      ASSERT_LE(at, kPoints) << "checkpoint " << c;
+      if (at == kPoints) continue;
+      EXPECT_EQ(SendPoints(*restored, s, std::span(series[s]).subspan(at)).type,
+                FrameType::kAck);
+    }
+    restored->Flush();
+    for (size_t s = 0; s < kStreams; ++s) {
+      ASSERT_EQ(Bits(*restored->RecentScores(s, kPoints)), Bits(reference[s]))
+          << "checkpoint " << c << " of " << files.size() << ", stream " << s;
+    }
+  }
+}
+
+/// A service checkpoint file with `entries` manifest entries and the given
+/// detector snapshots as its stream sections, framed by hand.
+std::vector<uint8_t> HandBuiltCheckpoint(
+    size_t entries, const std::vector<std::vector<uint8_t>>& sections) {
+  serialize::ByteWriter engine;
+  engine.PutVarint(sections.size());
+  for (const auto& section : sections) {
+    engine.PutVarint(section.size());
+    engine.PutBytes(section);
+  }
+  const std::vector<uint8_t> engine_blob = serialize::WrapPayload(
+      serialize::BlobKind::kStreamEngine, engine.bytes());
+  serialize::ByteWriter w;
+  w.PutVarint(entries);
+  for (size_t i = 0; i < entries; ++i) {
+    w.PutString("t");
+    w.PutString(std::to_string(i));
+    w.PutBool(false);
+  }
+  w.PutVarint(engine_blob.size());
+  w.PutBytes(engine_blob);
+  return serialize::WrapPayload(serialize::BlobKind::kServiceCheckpoint,
+                                w.bytes());
+}
+
+TEST_F(ServiceTest, RestoreRejectsManifestSectionCountMismatch) {
+  auto options = SmallServiceOptions();
+  options.checkpoint_path = Path("ckpt.egis");
+  auto session = Session::Open(options.spec);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto stream = session->OpenStream(options.stream);
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  const std::vector<uint8_t> section = stream->Checkpoint();
+
+  // Matching counts restore.
+  ASSERT_TRUE(serialize::WriteFileAtomic(options.checkpoint_path,
+                                         HandBuiltCheckpoint(1, {section}))
+                  .ok());
+  {
+    auto service = MustCreate(options);
+    EXPECT_EQ(service->num_streams(), 1u);
+  }
+
+  // CRC-valid files whose counts disagree fail at boot, both ways round.
+  const std::vector<uint8_t> one_entry_no_section = HandBuiltCheckpoint(1, {});
+  const std::vector<uint8_t> no_entry_one_section =
+      HandBuiltCheckpoint(0, {section});
+  for (const auto* bad : {&one_entry_no_section, &no_entry_one_section}) {
+    ASSERT_TRUE(serialize::WriteFileAtomic(options.checkpoint_path, *bad).ok());
+    auto created = HubService::Create(options);
+    ASSERT_FALSE(created.ok());
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+        << created.status();
+  }
+
+  // A live service asked to restore such a file keeps its streams.
+  std::filesystem::remove(options.checkpoint_path);
+  auto live = MustCreate(options);
+  ASSERT_TRUE(live->CreateStream("t", "s").ok());
+  Rng rng(19);
+  const auto series = datasets::MakeRandomWalk(60, rng);
+  EXPECT_EQ(SendPoints(*live, 0, series).type, FrameType::kAck);
+  live->Flush();
+  ASSERT_TRUE(serialize::WriteFileAtomic(options.checkpoint_path,
+                                         no_entry_one_section)
+                  .ok());
+  EXPECT_EQ(live->RestoreFromDisk().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(live->num_streams(), 1u);
+  EXPECT_EQ(live->Describe(0)->scored_total, series.size());
 }
 
 TEST_F(ServiceTest, ShutdownWritesFinalCheckpointAndDrains) {

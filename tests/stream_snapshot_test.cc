@@ -16,10 +16,11 @@
 #include <vector>
 
 #include "datasets/random_walk.h"
+#include "egi/session.h"
+#include "exec/parallel.h"
 #include "serialize/bytes.h"
 #include "serialize/format.h"
 #include "stream/detector.h"
-#include "stream/engine.h"
 #include "util/env.h"
 #include "util/rng.h"
 
@@ -49,9 +50,10 @@ std::vector<double> TestSeries(size_t length, uint64_t seed = 2020) {
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
-// Bitwise comparison of two scored points (score NaN bits included).
-void ExpectPointsIdentical(const ScoredPoint& a, const ScoredPoint& b,
-                           size_t at) {
+// Bitwise comparison of two scored points (score NaN bits included); works
+// for stream::ScoredPoint and the façade's StreamPoint alike.
+template <typename Point>
+void ExpectPointsIdentical(const Point& a, const Point& b, size_t at) {
   ASSERT_EQ(a.index, b.index) << "point " << at;
   ASSERT_EQ(Bits(a.value), Bits(b.value)) << "point " << at;
   ASSERT_EQ(Bits(a.score), Bits(b.score)) << "point " << at;
@@ -191,7 +193,10 @@ TEST(StreamSnapshotTest, SerializeIsDeterministicAndRestartable) {
   EXPECT_EQ(restored->Serialize(), blob1);
 }
 
-// ------------------------------------------------------------ StreamEngine
+// ------------------------------------------------ engine checkpoints
+//
+// StreamHub::Checkpoint writes every stream of a hub as one kind-2
+// (BlobKind::kStreamEngine) blob, one detector snapshot per section.
 
 std::vector<std::vector<double>> EngineSeries(size_t streams, size_t length) {
   std::vector<std::vector<double>> data;
@@ -202,59 +207,57 @@ std::vector<std::vector<double>> EngineSeries(size_t streams, size_t length) {
   return data;
 }
 
-void IngestChunk(StreamEngine& engine,
-                 const std::vector<std::vector<double>>& data, size_t begin,
+// A hub whose streams run SmallOptions() with the given spec threads=.
+StreamHub OpenTestHub(int threads) {
+  auto session = Session::Open("ensemble:wmax=6,amax=6,n=12,seed=42,threads=" +
+                               std::to_string(threads));
+  EXPECT_TRUE(session.ok()) << session.status();
+  StreamOptions options;
+  options.window_length = 40;
+  options.buffer_capacity = 256;
+  options.refit_interval = 64;
+  auto hub = session->OpenHub(options);
+  EXPECT_TRUE(hub.ok()) << hub.status();
+  return std::move(hub).value();
+}
+
+// Adds one stream per series and feeds it the first `end` points of it.
+StreamHub FedHub(int threads, const std::vector<std::vector<double>>& data,
                  size_t end) {
-  std::vector<StreamBatch> batches;
+  StreamHub hub = OpenTestHub(threads);
   for (size_t s = 0; s < data.size(); ++s) {
-    batches.push_back(
-        StreamBatch{s, std::span<const double>(data[s]).subspan(
-                           begin, end - begin)});
+    hub.AddStream();
+    hub.Ingest(s, std::span<const double>(data[s]).first(end));
   }
-  engine.Ingest(batches);
+  return hub;
 }
 
 void RunEngineCheckpointCase(int threads) {
   const size_t kStreams = 3;
   const size_t kPrefix = 160;
   const size_t kTotal = 480;
-  StreamEngineOptions opt;
-  opt.detector = SmallOptions();
-  opt.parallelism = exec::Parallelism::Fixed(threads);
   const auto data = EngineSeries(kStreams, kTotal);
 
-  StreamEngine original(opt);
-  for (size_t s = 0; s < kStreams; ++s) original.AddStream();
-  IngestChunk(original, data, 0, kPrefix);
+  StreamHub original = FedHub(threads, data, kPrefix);
+  const std::vector<uint8_t> checkpoint = original.Checkpoint();
 
-  const std::vector<uint8_t> checkpoint = original.SaveAll();
-
-  StreamEngine restored(opt);
-  ASSERT_TRUE(restored.LoadAll(checkpoint).ok());
+  StreamHub restored = OpenTestHub(threads);
+  ASSERT_TRUE(restored.Restore(checkpoint).ok());
   ASSERT_EQ(restored.num_streams(), kStreams);
+  // Decode -> encode is the identity, so equal stream blobs mean equal
+  // detector state.
   for (size_t s = 0; s < kStreams; ++s) {
-    ExpectDetectorsIdentical(original.detector(s), restored.detector(s));
+    EXPECT_EQ(*restored.CheckpointStream(s), *original.CheckpointStream(s));
   }
 
-  // Continue both engines over the same tail (sharded ingest) and compare
-  // every per-point result delivered through callbacks.
-  std::vector<std::vector<ScoredPoint>> out_a(kStreams), out_b(kStreams);
+  // Continue both hubs over the same tail and compare every point.
   for (size_t s = 0; s < kStreams; ++s) {
-    original.SetCallback(s, [&out_a](StreamId id, const ScoredPoint& pt) {
-      out_a[id].push_back(pt);
-    });
-    restored.SetCallback(s, [&out_b](StreamId id, const ScoredPoint& pt) {
-      out_b[id].push_back(pt);
-    });
-  }
-  IngestChunk(original, data, kPrefix, kTotal);
-  IngestChunk(restored, data, kPrefix, kTotal);
-  for (size_t s = 0; s < kStreams; ++s) {
-    ASSERT_EQ(out_a[s].size(), out_b[s].size());
-    for (size_t i = 0; i < out_a[s].size(); ++i) {
-      ExpectPointsIdentical(out_a[s][i], out_b[s][i], i);
-    }
-    ExpectDetectorsIdentical(original.detector(s), restored.detector(s));
+    const auto tail = std::span<const double>(data[s]).subspan(kPrefix);
+    const auto a = original.Ingest(s, tail);
+    const auto b = restored.Ingest(s, tail);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) ExpectPointsIdentical(a[i], b[i], i);
+    EXPECT_EQ(*restored.CheckpointStream(s), *original.CheckpointStream(s));
   }
 }
 
@@ -267,64 +270,62 @@ TEST(StreamEngineSnapshotTest, CheckpointRestoreContinuationFourThreads) {
 }
 
 TEST(StreamEngineSnapshotTest, CheckpointIsThreadCountInvariant) {
-  // The checkpoint bytes themselves must not depend on the pool width.
-  const size_t kStreams = 3;
-  const auto data = EngineSeries(kStreams, 200);
-  std::vector<uint8_t> blobs[2];
-  const int thread_cases[2] = {1, 4};
-  for (int c = 0; c < 2; ++c) {
-    StreamEngineOptions opt;
-    opt.detector = SmallOptions();
-    opt.parallelism = exec::Parallelism::Fixed(thread_cases[c]);
-    StreamEngine engine(opt);
-    for (size_t s = 0; s < kStreams; ++s) engine.AddStream();
-    IngestChunk(engine, data, 0, data[0].size());
-    blobs[c] = engine.SaveAll();
-  }
-  EXPECT_EQ(blobs[0], blobs[1]);
+  // The checkpoint bytes must not depend on how many threads run the
+  // refits' members or serialize the sections. threads= is recorded in
+  // every section, so the spec stays fixed; the second run happens inside
+  // a one-thread region, where every nested parallel region runs inline.
+  const auto data = EngineSeries(3, 200);
+  const std::vector<uint8_t> fanned =
+      FedHub(4, data, data[0].size()).Checkpoint();
+  std::vector<uint8_t> serial;
+  exec::ThreadPool inline_only(0);
+  inline_only.RunChunks(1, 1, [&](size_t) {
+    serial = FedHub(4, data, data[0].size()).Checkpoint();
+  });
+  EXPECT_EQ(fanned, serial);
 }
 
 TEST(StreamEngineSnapshotTest, EmptyEngineRoundTrips) {
-  StreamEngineOptions opt;
-  opt.detector = SmallOptions();
-  StreamEngine engine(opt);
-  const auto blob = engine.SaveAll();
-  StreamEngine other(opt);
-  other.AddStream();  // replaced wholesale by LoadAll
-  ASSERT_TRUE(other.LoadAll(blob).ok());
+  const auto blob = OpenTestHub(1).Checkpoint();
+  StreamHub other = OpenTestHub(1);
+  other.AddStream();  // replaced wholesale by Restore
+  ASSERT_TRUE(other.Restore(blob).ok());
   EXPECT_EQ(other.num_streams(), 0u);
 }
 
 TEST(StreamEngineSnapshotTest, LoadAllIsAllOrNothing) {
-  StreamEngineOptions opt;
-  opt.detector = SmallOptions();
-  StreamEngine engine(opt);
-  engine.AddStream();
-  engine.AddStream();
   const auto data = EngineSeries(2, 100);
-  IngestChunk(engine, data, 0, 100);
-  auto checkpoint = engine.SaveAll();
+  StreamHub hub = FedHub(1, data, 100);
+  auto checkpoint = hub.Checkpoint();
 
-  // Corrupt one byte deep inside the payload (a stream section): LoadAll
-  // must fail and leave the target engine untouched.
-  checkpoint[checkpoint.size() / 2] ^= 0x40;
-  StreamEngine target(opt);
+  StreamHub target = OpenTestHub(1);
   target.AddStream();
-  const auto before = target.detector(0).total_appended();
-  EXPECT_FALSE(target.LoadAll(checkpoint).ok());
-  EXPECT_EQ(target.num_streams(), 1u);
-  EXPECT_EQ(target.detector(0).total_appended(), before);
+  target.Ingest(0, std::span<const double>(data[0]).first(10));
+  const auto expect_untouched = [&] {
+    EXPECT_EQ(target.num_streams(), 1u);
+    EXPECT_EQ(target.Stats(0).total_appended, 10u);
+  };
+
+  // One corrupted byte deep inside the payload (a stream section).
+  checkpoint[checkpoint.size() / 2] ^= 0x40;
+  EXPECT_FALSE(target.Restore(checkpoint).ok());
+  expect_untouched();
+
+  // A well-framed blob whose second section is not a detector: the first
+  // section decodes, and the restore still fails as a whole.
+  const std::vector<std::vector<uint8_t>> sections = {
+      *hub.CheckpointStream(0), std::vector<uint8_t>(64, 0xA5)};
+  EXPECT_FALSE(target.Restore(serialize::WrapEngineSections(sections)).ok());
+  expect_untouched();
 }
 
 TEST(StreamEngineSnapshotTest, RejectsDetectorBlobAsEngineCheckpoint) {
   StreamDetector detector(SmallOptions());
   const auto blob = detector.Serialize();
-  StreamEngineOptions opt;
-  opt.detector = SmallOptions();
-  StreamEngine engine(opt);
-  EXPECT_FALSE(engine.LoadAll(blob).ok());
+  StreamHub hub = OpenTestHub(1);
+  EXPECT_FALSE(hub.Restore(blob).ok());
   // And the converse: an engine checkpoint is not a detector snapshot.
-  const auto checkpoint = engine.SaveAll();
+  const auto checkpoint = hub.Checkpoint();
   EXPECT_FALSE(StreamDetector::Deserialize(checkpoint).ok());
 }
 
@@ -434,10 +435,7 @@ TEST(StreamSnapshotCorruptionTest, EmptyAndGarbageBlobsAreRejected) {
   EXPECT_FALSE(StreamDetector::Deserialize({}).ok());
   const std::vector<uint8_t> garbage(64, 0xA5);
   EXPECT_FALSE(StreamDetector::Deserialize(garbage).ok());
-  StreamEngineOptions opt;
-  opt.detector = SmallOptions();
-  StreamEngine engine(opt);
-  EXPECT_FALSE(engine.LoadAll(garbage).ok());
+  EXPECT_FALSE(OpenTestHub(1).Restore(garbage).ok());
 }
 
 // ------------------------------------------------------------ golden blob

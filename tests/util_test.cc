@@ -460,6 +460,22 @@ TEST(JsonTest, NumberRendersRoundTrippableOrNull) {
 
 // ------------------------------------------------------------------ Table
 
+TEST(JsonTest, FindUIntScansKeysAndRejectsOverflow) {
+  uint64_t v = 0;
+  // "stream" first appears as a value; the scan skips to the real key.
+  EXPECT_TRUE(JsonFindUInt(R"({"name":"stream","stream": 42})", "stream", &v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(JsonFindUInt(R"({"a":18446744073709551615})", "a", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 7;
+  for (const char* body :
+       {R"({"a":18446744073709551616})", R"({"a":99999999999999999999})",
+        R"({"a":-1})", R"({"a":"1"})", R"({"a":})", R"({"b":1})"}) {
+    EXPECT_FALSE(JsonFindUInt(body, "a", &v)) << body;
+  }
+  EXPECT_EQ(v, 7u);  // untouched on failure
+}
+
 TEST(TableTest, FormatDoubleFixedPrecision) {
   EXPECT_EQ(FormatDouble(0.39514, 4), "0.3951");
   EXPECT_EQ(FormatDouble(1.0, 2), "1.00");
