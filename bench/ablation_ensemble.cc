@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
   bench::PrintPreamble("Ablation: Algorithm 1 design choices", settings);
 
   core::EnsembleParams base;
-  base.ensemble_size = settings.methods.ensemble_size;
-  base.seed = settings.methods.seed;
+  base.ensemble_size = settings.ensemble_size;
 
   std::vector<Variant> variants;
   variants.push_back({"paper-default", base});

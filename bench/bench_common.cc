@@ -9,7 +9,6 @@
 #include "egi/registry.h"
 #include "egi/session.h"
 #include "eval/metrics.h"
-#include "exec/parallel.h"
 #include "util/env.h"
 #include "util/json.h"
 
@@ -21,13 +20,12 @@ BenchSettings SettingsFromEnv() {
   s.series_per_dataset = static_cast<int>(
       GetEnvInt("EGI_SERIES_PER_DATASET", s.quick ? 8 : 25));
   s.data_seed = static_cast<uint64_t>(GetEnvInt("EGI_DATA_SEED", 2020));
-  s.methods.ensemble_size =
-      static_cast<int>(GetEnvInt("EGI_ENSEMBLE_SIZE", 50));
-  // EGI_NUM_THREADS (via FromEnv) governs intra-detector parallelism;
-  // EGI_DISCORD_THREADS is honoured as a legacy override when set.
-  s.methods.parallelism = exec::Parallelism::Fixed(static_cast<int>(
-      GetEnvInt("EGI_DISCORD_THREADS", exec::Parallelism::FromEnv().threads)));
+  s.ensemble_size = static_cast<int>(GetEnvInt("EGI_ENSEMBLE_SIZE", 50));
   return s;
+}
+
+std::vector<eval::PaperMethod> PaperMethods(const BenchSettings& settings) {
+  return eval::PaperMethods(settings.ensemble_size, settings.threads);
 }
 
 namespace {
@@ -83,15 +81,15 @@ bool HandleStandardFlags(int argc, char** argv) {
 }
 
 void PrintPreamble(const std::string& what, const BenchSettings& settings) {
+  const core::EnsembleParams paper;  // wmax, amax and tau of every method
   std::printf("== %s ==\n", what.c_str());
   std::printf(
       "settings: %d series/dataset, data_seed=%llu, N=%d, tau=%.0f%%, "
       "wmax=%d, amax=%d%s\n",
       settings.series_per_dataset,
       static_cast<unsigned long long>(settings.data_seed),
-      settings.methods.ensemble_size, settings.methods.selectivity * 100.0,
-      settings.methods.wmax, settings.methods.amax,
-      settings.quick ? " [QUICK]" : "");
+      settings.ensemble_size, paper.selectivity * 100.0, paper.wmax,
+      paper.amax, settings.quick ? " [QUICK]" : "");
   std::printf(
       "datasets are seeded synthetic stand-ins for the UCR families "
       "(DESIGN.md); compare shapes, not absolute values.\n\n");
@@ -111,9 +109,7 @@ std::vector<double> EnsembleScoresForRange(datasets::UcrDataset dataset,
   core::EnsembleParams p;
   p.wmax = wmax;
   p.amax = amax;
-  p.ensemble_size = settings.methods.ensemble_size;
-  p.selectivity = settings.methods.selectivity;
-  p.seed = settings.methods.seed;
+  p.ensemble_size = settings.ensemble_size;
   core::EnsembleGiDetector detector(p);
 
   std::vector<double> scores;
@@ -131,19 +127,19 @@ BaselinePick BestGiBaseline(datasets::UcrDataset dataset,
   eval::ExperimentConfig cfg;
   cfg.series_per_dataset = settings.series_per_dataset;
   cfg.data_seed = settings.data_seed;
-  cfg.method_config = settings.methods;
 
   const datasets::UcrDataset ds[] = {dataset};
-  const auto result =
-      eval::RunExperiment(ds, eval::kGiBaselines, cfg);
+  const auto methods = PaperMethods(settings);
+  const auto gi_baselines = std::span(methods).subspan(1, 3);
+  const auto result = eval::RunExperiment(ds, gi_baselines, cfg);
 
   BaselinePick best;
   double best_score = -1.0;
-  for (const auto method : eval::kGiBaselines) {
-    const auto& agg = result.Get(dataset, method);
+  for (const auto& method : gi_baselines) {
+    const auto& agg = result.Get(dataset, method.label);
     if (agg.AverageScore() > best_score) {
       best_score = agg.AverageScore();
-      best.method = method;
+      best.label = method.label;
       best.agg = agg;
     }
   }
@@ -154,8 +150,8 @@ eval::ExperimentResult RunMainExperiment(const BenchSettings& settings) {
   eval::ExperimentConfig cfg;
   cfg.series_per_dataset = settings.series_per_dataset;
   cfg.data_seed = settings.data_seed;
-  cfg.method_config = settings.methods;
-  return eval::RunExperiment(datasets::kAllDatasets, eval::kAllMethods, cfg);
+  return eval::RunExperiment(datasets::kAllDatasets, PaperMethods(settings),
+                             cfg);
 }
 
 // ------------------------------------------------- machine-readable output

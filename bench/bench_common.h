@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "eval/experiment.h"
+#include "exec/parallel.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
 
@@ -19,15 +20,20 @@ namespace egi::bench {
 ///   EGI_DATA_SEED            series-generation seed (default 2020)
 ///   EGI_ENSEMBLE_SIZE        N (default 50)
 ///   EGI_NUM_THREADS          intra-detector threads (default: all cores)
-///   EGI_DISCORD_THREADS      legacy thread override (wins when set)
+/// Every other detector option is the paper's setting (registry defaults).
 struct BenchSettings {
   int series_per_dataset = 25;
   uint64_t data_seed = 2020;
-  eval::MethodConfig methods;
+  int ensemble_size = 50;
+  int threads = exec::Parallelism::FromEnv().threads;
   bool quick = false;
 };
 
 BenchSettings SettingsFromEnv();
+
+/// The paper's five methods at these settings (eval::PaperMethods): row 0
+/// is Proposed, rows 1-3 the GI baselines, row 4 Discord.
+std::vector<eval::PaperMethod> PaperMethods(const BenchSettings& settings);
 
 /// Handles the flags every bench binary accepts before doing any work.
 /// `--list-methods` prints the public detector registry — one line per
@@ -55,7 +61,7 @@ std::vector<double> EnsembleScoresForRange(datasets::UcrDataset dataset,
 /// The paper's Tables 7-9 baseline: the best of GI-Random / GI-Fix /
 /// GI-Select on this dataset (by average Score).
 struct BaselinePick {
-  eval::Method method;
+  std::string label;
   eval::MethodAggregate agg;
 };
 BaselinePick BestGiBaseline(datasets::UcrDataset dataset,

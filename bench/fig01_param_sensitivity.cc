@@ -9,6 +9,7 @@
 
 #include "bench_common.h"
 #include "core/anomaly.h"
+#include "core/detector.h"
 #include "core/gi.h"
 #include "datasets/power.h"
 #include "eval/metrics.h"

@@ -50,15 +50,15 @@ int main(int argc, char** argv) {
       const auto series = type.make(len, rng);
 
       core::EnsembleParams p;
-      p.ensemble_size = settings.methods.ensemble_size;
-      p.parallelism = settings.methods.parallelism;
+      p.ensemble_size = settings.ensemble_size;
+      p.parallelism = settings.threads;
       core::EnsembleGiDetector ensemble(p);
       Stopwatch sw;
       auto re = ensemble.Detect(series, window, 3);
       EGI_CHECK(re.ok()) << re.status().ToString();
       const double t_ens = sw.ElapsedSeconds();
 
-      core::DiscordDetector discord(settings.methods.parallelism);
+      core::DiscordDetector discord(settings.threads);
       sw.Restart();
       auto rd = discord.Detect(series, window, 3);
       EGI_CHECK(rd.ok()) << rd.status().ToString();

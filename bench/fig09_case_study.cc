@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
               stream.anomalies[1].start, stream.anomalies[1].end());
 
   core::EnsembleParams p;
-  p.ensemble_size = settings.methods.ensemble_size;
-  p.seed = settings.methods.seed;
+  p.ensemble_size = settings.ensemble_size;
   core::EnsembleGiDetector detector(p);
 
   Stopwatch sw;

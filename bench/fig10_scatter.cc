@@ -18,24 +18,18 @@ int main(int argc, char** argv) {
       "Figure 10: per-series Score scatter (ensemble vs baselines)",
       settings);
 
+  const auto methods = bench::PaperMethods(settings);
   const auto result = bench::RunMainExperiment(settings);
   std::filesystem::create_directories("bench_out");
-
-  const eval::Method baselines[] = {eval::Method::kGiRandom,
-                                    eval::Method::kGiFix,
-                                    eval::Method::kGiSelect,
-                                    eval::Method::kDiscord};
 
   TextTable table("Figure 10 summary: points below/on/above the diagonal");
   table.SetHeader({"Dataset", "Baseline", "Wins", "Ties", "Losses", "CSV"});
   for (const auto d : datasets::kAllDatasets) {
-    const auto& proposed = result.Get(d, eval::Method::kProposed);
-    for (const auto baseline : baselines) {
-      const auto& base = result.Get(d, baseline);
+    const auto& proposed = result.Get(d, methods.front().label);
+    for (const auto& baseline : std::span(methods).subspan(1)) {
+      const auto& base = result.Get(d, baseline.label);
       const std::string path = "bench_out/fig10_" + bench::DatasetName(d) +
-                               "_vs_" +
-                               std::string(eval::MethodName(baseline)) +
-                               ".csv";
+                               "_vs_" + baseline.label + ".csv";
       CsvWriter csv(path);
       csv.WriteRow({"ensemble_score", "baseline_score"});
       eval::WinTieLoss wtl;
@@ -43,8 +37,7 @@ int main(int argc, char** argv) {
         csv.WriteNumericRow({proposed.scores[i], base.scores[i]});
         wtl.Add(proposed.scores[i], base.scores[i]);
       }
-      table.AddRow({bench::DatasetName(d),
-                    std::string(eval::MethodName(baseline)),
+      table.AddRow({bench::DatasetName(d), baseline.label,
                     std::to_string(wtl.wins), std::to_string(wtl.ties),
                     std::to_string(wtl.losses), path});
     }

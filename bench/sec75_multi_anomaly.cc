@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
         datasets::UcrDataset::kStarLightCurve, rng, 42, 2);
 
     core::EnsembleParams p;
-    p.ensemble_size = settings.methods.ensemble_size;
-    p.seed = settings.methods.seed;
+    p.ensemble_size = settings.ensemble_size;
     core::EnsembleGiDetector detector(p);
     auto r = detector.Detect(s.values, 1024, 3);
     EGI_CHECK(r.ok()) << r.status().ToString();

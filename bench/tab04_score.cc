@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   }
 
   Stopwatch sw;
+  const auto methods = bench::PaperMethods(settings);
   const auto result = bench::RunMainExperiment(settings);
 
   TextTable table("Table 4: average Score");
@@ -36,8 +37,8 @@ int main(int argc, char** argv) {
                    "Discord"});
   for (const auto d : datasets::kAllDatasets) {
     std::vector<std::string> row{bench::DatasetName(d)};
-    for (const auto m : eval::kAllMethods) {
-      row.push_back(FormatDouble(result.Get(d, m).AverageScore(), 4));
+    for (const auto& m : methods) {
+      row.push_back(FormatDouble(result.Get(d, m.label).AverageScore(), 4));
     }
     table.AddRow(std::move(row));
   }

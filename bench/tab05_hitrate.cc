@@ -11,6 +11,7 @@ int main(int argc, char** argv) {
   const auto settings = bench::SettingsFromEnv();
   bench::PrintPreamble("Table 5: performance evaluation (HitRate)", settings);
 
+  const auto methods = bench::PaperMethods(settings);
   const auto result = bench::RunMainExperiment(settings);
 
   TextTable table("Table 5: HitRate");
@@ -18,8 +19,8 @@ int main(int argc, char** argv) {
                    "Discord"});
   for (const auto d : datasets::kAllDatasets) {
     std::vector<std::string> row{bench::DatasetName(d)};
-    for (const auto m : eval::kAllMethods) {
-      row.push_back(FormatDouble(result.Get(d, m).HitRate(), 2));
+    for (const auto& m : methods) {
+      row.push_back(FormatDouble(result.Get(d, m.label).HitRate(), 2));
     }
     table.AddRow(std::move(row));
   }

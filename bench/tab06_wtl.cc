@@ -14,12 +14,9 @@ int main(int argc, char** argv) {
   bench::PrintPreamble(
       "Table 6: wins/ties/losses of the ensemble vs all baselines", settings);
 
+  const auto methods = bench::PaperMethods(settings);
   const auto result = bench::RunMainExperiment(settings);
-
-  const eval::Method baselines[] = {eval::Method::kGiRandom,
-                                    eval::Method::kGiFix,
-                                    eval::Method::kGiSelect,
-                                    eval::Method::kDiscord};
+  const std::string& proposed = methods.front().label;
 
   TextTable table("Table 6: ensemble W/T/L vs baselines");
   std::vector<std::string> header{"Approach \\ Dataset"};
@@ -27,12 +24,11 @@ int main(int argc, char** argv) {
     header.push_back(bench::DatasetName(d));
   table.SetHeader(std::move(header));
 
-  for (const auto baseline : baselines) {
-    std::vector<std::string> row{std::string(eval::MethodName(baseline))};
+  for (const auto& baseline : std::span(methods).subspan(1)) {
+    std::vector<std::string> row{baseline.label};
     for (const auto d : datasets::kAllDatasets) {
-      const auto wtl =
-          eval::CompareScores(result.Get(d, eval::Method::kProposed),
-                              result.Get(d, baseline));
+      const auto wtl = eval::CompareScores(result.Get(d, proposed),
+                                           result.Get(d, baseline.label));
       row.push_back(wtl.ToString());
     }
     table.AddRow(std::move(row));

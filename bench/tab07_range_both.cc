@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   std::printf("\nbest GI baseline per dataset:");
   for (size_t di = 0; di < datasets::kAllDatasets.size(); ++di) {
     std::printf(" %s=%s", bench::DatasetName(datasets::kAllDatasets[di]).c_str(),
-                eval::MethodName(baselines[di].method).data());
+                baselines[di].label.c_str());
   }
   std::printf("\n");
   return 0;

@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
       core::EnsembleParams p;
       p.window_length = window;
       p.ensemble_size = 50;
-      p.seed = settings.methods.seed;
       auto curves = core::ComputeMemberDensityCurves(s.values, p);
       EGI_CHECK(curves.ok()) << curves.status().ToString();
 

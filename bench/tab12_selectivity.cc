@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
       for (const auto& s : series_set) {
         core::EnsembleParams p;
         p.window_length = window;
-        p.ensemble_size = settings.methods.ensemble_size;
-        p.seed = settings.methods.seed + static_cast<uint64_t>(rep) * 7919;
+        p.ensemble_size = settings.ensemble_size;
+        p.seed += static_cast<uint64_t>(rep) * 7919;
         auto curves = core::ComputeMemberDensityCurves(s.values, p);
         EGI_CHECK(curves.ok()) << curves.status().ToString();
 

@@ -26,18 +26,18 @@ int main(int argc, char** argv) {
   for (const auto d : datasets::kAllDatasets)
     rows.push_back({bench::DatasetName(d)});
 
-  const eval::Method methods[] = {eval::Method::kProposed};
+  const auto methods = bench::PaperMethods(settings);
+  const auto proposed = std::span(methods).first(1);
   for (const double f : fractions) {
     eval::ExperimentConfig cfg;
     cfg.series_per_dataset = settings.series_per_dataset;
     cfg.data_seed = settings.data_seed;
-    cfg.method_config = settings.methods;
     cfg.window_fraction = f;
     const auto result =
-        eval::RunExperiment(datasets::kAllDatasets, methods, cfg);
+        eval::RunExperiment(datasets::kAllDatasets, proposed, cfg);
     for (size_t di = 0; di < datasets::kAllDatasets.size(); ++di) {
       rows[di].push_back(FormatDouble(
-          result.Get(datasets::kAllDatasets[di], eval::Method::kProposed)
+          result.Get(datasets::kAllDatasets[di], proposed[0].label)
               .AverageScore(),
           4));
     }

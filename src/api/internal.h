@@ -86,8 +86,8 @@ Result<OptionValues> ResolveOptions(const DetectorEntry& entry,
 /// with its effective value. Parsing it back resolves to identical values.
 std::string CanonicalSpec(const DetectorEntry& entry, const OptionValues& v);
 
-/// The registry-driven replacement for the old eval::MakeMethod switch:
-/// resolves and validates `spec`, then builds the detector.
+/// Resolves and validates `spec`, then builds the detector (how the
+/// experiment runner builds the paper's methods from their specs).
 Result<std::unique_ptr<core::AnomalyDetector>> BuildDetector(
     const DetectorSpec& spec);
 

@@ -1,9 +1,7 @@
 #include "egi/session.h"
 
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "api/internal.h"
@@ -241,44 +239,8 @@ Session::Session(Session&&) noexcept = default;
 Session& Session::operator=(Session&&) noexcept = default;
 Session::~Session() = default;
 
-namespace {
-
-// Process-wide cache of parsed spec strings. DetectorSpec::Parse is a pure
-// function of the string, so the cache can never go stale; it exists because
-// services open sessions from a handful of fixed config strings over and
-// over. Bounded so adversarial spec churn cannot grow it without limit —
-// eviction is "clear everything", which is both trivially correct and fine
-// for a cache whose steady state is a few entries.
-Result<DetectorSpec> ParseSpecCached(std::string_view spec) {
-  static auto* hits = Telemetry().GetCounter("session.spec_cache_hits");
-  static auto* misses = Telemetry().GetCounter("session.spec_cache_misses");
-  constexpr size_t kMaxCachedSpecs = 256;
-  static std::mutex mu;
-  static std::unordered_map<std::string, DetectorSpec> cache;
-
-  std::string key(spec);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(key);
-    if (it != cache.end()) {
-      hits->Add(1);
-      return it->second;
-    }
-  }
-  misses->Add(1);
-  EGI_ASSIGN_OR_RETURN(auto parsed, DetectorSpec::Parse(spec));
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (cache.size() >= kMaxCachedSpecs) cache.clear();
-    cache.emplace(std::move(key), parsed);
-  }
-  return parsed;
-}
-
-}  // namespace
-
 Result<Session> Session::Open(std::string_view spec) {
-  EGI_ASSIGN_OR_RETURN(auto parsed, ParseSpecCached(spec));
+  EGI_ASSIGN_OR_RETURN(auto parsed, DetectorSpec::Parse(spec));
   return Open(parsed);
 }
 

@@ -111,6 +111,109 @@ std::vector<double> InduceMember(sax::DiscretizedSeries& member,
   return curve;
 }
 
+// Lines 1-6 of Algorithm 1, the one construction path behind both entry
+// points. Fewer members built than drawn means the screen pruned the draw.
+struct InducedMembers {
+  std::vector<sax::WaParam> sample;         ///< the full draw
+  std::vector<size_t> built;                ///< draws induced, in order
+  std::vector<std::vector<double>> curves;  ///< parallel to `built`
+};
+
+// Screening pass of the two-stage construction: proxy statistic per
+// candidate, then a stable rank (remaining ties by draw order), cut to the
+// top `target`. Sequential on purpose — it is cheap and its order is part
+// of the deterministic contract.
+std::vector<size_t> ScreenCandidates(
+    const std::vector<sax::DiscretizedSeries>& discretized, size_t target) {
+  static auto* pruned_counter =
+      Telemetry().GetCounter("ensemble.members_pruned");
+  static auto* screen_hist =
+      Telemetry().GetHistogram("ensemble.screen_seconds");
+  std::vector<size_t> survivors(discretized.size());
+  {
+    telemetry::ScopedTimer timer(screen_hist);
+    std::vector<ScreeningStat> proxy(discretized.size());
+    std::vector<double> counts_scratch, sample_scratch;
+    for (size_t i = 0; i < discretized.size(); ++i) {
+      proxy[i] =
+          ScreenCandidate(discretized[i], counts_scratch, sample_scratch);
+    }
+    std::iota(survivors.begin(), survivors.end(), size_t{0});
+    std::stable_sort(survivors.begin(), survivors.end(),
+                     [&](size_t a, size_t b) { return proxy[a] > proxy[b]; });
+    survivors.resize(target);
+  }
+  pruned_counter->Add(discretized.size() - target);
+  Telemetry().journal().Emit(
+      "ensemble.pruned", {{"candidates", std::to_string(discretized.size())},
+                          {"built", std::to_string(target)}});
+  return survivors;
+}
+
+// Validates, draws the N (w, a) pairs and encodes them all through one
+// shared discretization (Section 6.2). Then it induces every draw or, when
+// `allow_pruning` and 0 < prune_to < N, only the screen's top prune_to in
+// rank order. `artifacts` stays aligned 1:1 with the draw (screened-out
+// entries empty).
+Result<InducedMembers> InduceMembers(std::span<const double> series,
+                                     const EnsembleParams& params,
+                                     bool allow_pruning,
+                                     EnsembleArtifacts* artifacts) {
+  EGI_RETURN_IF_ERROR(sax::ValidateSeriesValues(series));
+  EGI_RETURN_IF_ERROR(ValidateEnsembleParams(series.size(), params));
+  InducedMembers out;
+  out.sample = DrawParameterSample(params.wmax, params.amax,
+                                   params.ensemble_size, params.seed);
+
+  static auto* encode_hist =
+      Telemetry().GetHistogram("ensemble.encode_seconds");
+  sax::MultiResSaxEncoder encoder(series, params.window_length, params.amax,
+                                  params.norm_threshold,
+                                  params.numerosity_reduction);
+  Result<std::vector<sax::DiscretizedSeries>> encoded = [&] {
+    telemetry::ScopedTimer timer(encode_hist);
+    return encoder.EncodeAll(out.sample);
+  }();
+  if (!encoded.ok()) return encoded.status();
+  auto discretized = std::move(*encoded);
+
+  const size_t target = static_cast<size_t>(params.prune_to);
+  if (allow_pruning && target > 0 && target < discretized.size()) {
+    out.built = ScreenCandidates(discretized, target);
+  } else {
+    out.built.resize(discretized.size());
+    std::iota(out.built.begin(), out.built.end(), size_t{0});
+  }
+
+  // The inductions are independent; each writes only its own slot, so the
+  // parallel result is bitwise-identical to the serial one. Each member
+  // leases a warm Sequitur builder from the process-wide scratch pool
+  // (grammar/sequitur.h): the pool's high-water mark is the executing
+  // concurrency, so across runs — batch calls, every streaming refit, every
+  // stream in a hub — the same few arenas and digram tables serve all
+  // grammar inductions allocation-free. Builder reuse is bitwise-output-
+  // equivalent to a fresh builder (tested).
+  static auto* induction_hist =
+      Telemetry().GetHistogram("ensemble.induction_seconds");
+  static auto* members_built = Telemetry().GetCounter("ensemble.members_built");
+  members_built->Add(out.built.size());
+  out.curves.resize(out.built.size());
+  if (artifacts != nullptr) {
+    artifacts->word_counts = std::vector<MemberWordCounts>(discretized.size());
+  }
+  {
+    telemetry::ScopedTimer timer(induction_hist);
+    exec::ParallelFor(
+        params.parallelism, 0, out.built.size(), /*grain=*/1, [&](size_t i) {
+          const size_t m = out.built[i];
+          out.curves[i] = InduceMember(
+              discretized[m], params.boundary_correction,
+              artifacts != nullptr ? &artifacts->word_counts[m] : nullptr);
+        });
+  }
+  return out;
+}
+
 }  // namespace
 
 Status ValidateEnsembleParams(size_t series_length,
@@ -303,164 +406,12 @@ std::vector<double> CombineMemberCurves(
 Result<std::vector<std::vector<double>>> ComputeMemberDensityCurves(
     std::span<const double> series, const EnsembleParams& params,
     std::vector<sax::WaParam>* out_sample, EnsembleArtifacts* artifacts) {
-  EGI_RETURN_IF_ERROR(sax::ValidateSeriesValues(series));
-  EGI_RETURN_IF_ERROR(ValidateEnsembleParams(series.size(), params));
-
-  const auto sample = DrawParameterSample(params.wmax, params.amax,
-                                          params.ensemble_size, params.seed);
-  if (out_sample != nullptr) *out_sample = sample;
-
-  // Shared discretization across all members (Section 6.2).
-  static auto* encode_hist = Telemetry().GetHistogram("ensemble.encode_seconds");
-  sax::MultiResSaxEncoder encoder(series, params.window_length, params.amax,
-                                  params.norm_threshold,
-                                  params.numerosity_reduction);
-  Result<std::vector<sax::DiscretizedSeries>> encoded = [&] {
-    telemetry::ScopedTimer timer(encode_hist);
-    return encoder.EncodeAll(sample);
-  }();
-  if (!encoded.ok()) return encoded.status();
-  auto discretized = std::move(*encoded);
-
-  // The N grammar-induction runs are independent; each writes only its own
-  // slot, so the parallel result is bitwise-identical to the serial one.
-  // Each member leases a warm Sequitur builder from the process-wide scratch
-  // pool (grammar/sequitur.h): the pool's high-water mark is the executing
-  // concurrency, so across runs — batch calls, every streaming refit, every
-  // stream in a hub shard — the same few arenas and digram tables serve all
-  // grammar inductions allocation-free. Builder reuse is bitwise-output-
-  // equivalent to a fresh builder (tested).
-  static auto* induction_hist =
-      Telemetry().GetHistogram("ensemble.induction_seconds");
-  static auto* members_built = Telemetry().GetCounter("ensemble.members_built");
-  members_built->Add(discretized.size());
-  std::vector<std::vector<double>> curves(discretized.size());
-  if (artifacts != nullptr) {
-    artifacts->word_counts = std::vector<MemberWordCounts>(discretized.size());
-  }
-  {
-    telemetry::ScopedTimer timer(induction_hist);
-    exec::ParallelFor(
-        params.parallelism, 0, discretized.size(), /*grain=*/1,
-        [&](size_t i) {
-          curves[i] = InduceMember(
-              discretized[i], params.boundary_correction,
-              artifacts != nullptr ? &artifacts->word_counts[i] : nullptr);
-        });
-  }
-  return curves;
+  EGI_ASSIGN_OR_RETURN(auto members,
+                       InduceMembers(series, params, /*allow_pruning=*/false,
+                                     artifacts));
+  if (out_sample != nullptr) *out_sample = std::move(members.sample);
+  return std::move(members.curves);
 }
-
-namespace {
-
-// The two-stage (pruned) construction path of ComputeEnsembleDensity: the
-// shared encode still covers all N candidates, a sequential screening pass
-// ranks them by proxy std (ties broken by draw order), and full Sequitur
-// induction runs only for the top `prune_to` survivors. The combine stage
-// keeps round(tau * N) of the survivor prefix — screening order stands in
-// for the std rank, so when prune_to <= round(tau * N) every survivor is
-// kept. Members that were screened out report std_dev 0 and kept == false;
-// `artifacts` stays aligned 1:1 with the full drawn sample (screened-out
-// entries empty).
-Result<EnsembleResult> ComputePrunedEnsembleDensity(
-    std::span<const double> series, const EnsembleParams& params,
-    const std::vector<sax::WaParam>& sample, EnsembleArtifacts* artifacts) {
-  static auto* pruned_counter =
-      Telemetry().GetCounter("ensemble.members_pruned");
-  static auto* members_built = Telemetry().GetCounter("ensemble.members_built");
-  static auto* encode_hist =
-      Telemetry().GetHistogram("ensemble.encode_seconds");
-  static auto* screen_hist =
-      Telemetry().GetHistogram("ensemble.screen_seconds");
-  static auto* induction_hist =
-      Telemetry().GetHistogram("ensemble.induction_seconds");
-  static auto* combine_hist =
-      Telemetry().GetHistogram("ensemble.combine_seconds");
-
-  sax::MultiResSaxEncoder encoder(series, params.window_length, params.amax,
-                                  params.norm_threshold,
-                                  params.numerosity_reduction);
-  Result<std::vector<sax::DiscretizedSeries>> encoded = [&] {
-    telemetry::ScopedTimer timer(encode_hist);
-    return encoder.EncodeAll(sample);
-  }();
-  if (!encoded.ok()) return encoded.status();
-  auto discretized = std::move(*encoded);
-
-  // Screening pass: proxy statistic per candidate, then a stable rank
-  // (remaining ties by draw order). Sequential on purpose — it is cheap and
-  // its order is part of the deterministic contract.
-  const size_t target = static_cast<size_t>(params.prune_to);
-  std::vector<size_t> survivors(discretized.size());
-  {
-    telemetry::ScopedTimer timer(screen_hist);
-    std::vector<ScreeningStat> proxy(discretized.size());
-    std::vector<double> counts_scratch, sample_scratch;
-    for (size_t i = 0; i < discretized.size(); ++i) {
-      proxy[i] = ScreenCandidate(discretized[i], counts_scratch, sample_scratch);
-    }
-    std::iota(survivors.begin(), survivors.end(), size_t{0});
-    std::stable_sort(survivors.begin(), survivors.end(),
-                     [&](size_t a, size_t b) { return proxy[a] > proxy[b]; });
-    survivors.resize(target);
-  }
-  pruned_counter->Add(discretized.size() - target);
-  members_built->Add(target);
-  Telemetry().journal().Emit(
-      "ensemble.pruned",
-      {{"candidates", std::to_string(discretized.size())},
-       {"built", std::to_string(target)}});
-
-  // Full induction only for the survivors, in screening-rank order.
-  std::vector<std::vector<double>> curves(target);
-  if (artifacts != nullptr) {
-    artifacts->word_counts = std::vector<MemberWordCounts>(discretized.size());
-  }
-  {
-    telemetry::ScopedTimer timer(induction_hist);
-    exec::ParallelFor(
-        params.parallelism, 0, target, /*grain=*/1, [&](size_t i) {
-          const size_t m = survivors[i];
-          curves[i] = InduceMember(
-              discretized[m], params.boundary_correction,
-              artifacts != nullptr ? &artifacts->word_counts[m] : nullptr);
-        });
-  }
-
-  CombineSpec spec;
-  spec.selectivity = params.selectivity;
-  spec.combine = params.combine;
-  spec.normalize = params.normalize;
-  spec.filter_by_std = params.filter_by_std;
-  // The std filter keeps round(tau * N) curves, ranked over the survivors
-  // by their real (post-induction) curve std — identical treatment to the
-  // full path restricted to the survivor set, so complete screening
-  // coverage implies a bitwise-identical ensemble curve. The already-ranked
-  // fast path (no second sort) is exact only when every survivor is kept.
-  const size_t keep_count = static_cast<size_t>(
-      std::lround(params.selectivity * static_cast<double>(sample.size())));
-  spec.already_ranked = !params.filter_by_std || keep_count >= target;
-  spec.rank_population = sample.size();
-  std::vector<double> stds;
-  std::vector<bool> kept;
-  EnsembleResult out;
-  {
-    telemetry::ScopedTimer combine_timer(combine_hist);
-    out.density = CombineMemberCurves(curves, spec, &stds, &kept);
-  }
-  out.members.resize(sample.size());
-  for (size_t i = 0; i < sample.size(); ++i) {
-    out.members[i] =
-        EnsembleMember{sample[i].paa_size, sample[i].alphabet_size, 0.0, false};
-  }
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    out.members[survivors[i]].std_dev = stds[i];
-    out.members[survivors[i]].kept = kept[i];
-  }
-  return out;
-}
-
-}  // namespace
 
 Result<EnsembleResult> ComputeEnsembleDensity(std::span<const double> series,
                                               const EnsembleParams& params,
@@ -474,44 +425,44 @@ Result<EnsembleResult> ComputeEnsembleDensity(std::span<const double> series,
   telemetry::ScopedTimer compute_timer(compute_hist);
   runs->Add(1);
 
-  // Two-stage construction (opt-in): screen all N candidates cheaply, build
-  // only the top prune_to. A prune_to of 0 — or one that does not actually
-  // cut the sample — takes the exact Algorithm 1 path below.
-  if (params.prune_to > 0) {
-    EGI_RETURN_IF_ERROR(sax::ValidateSeriesValues(series));
-    EGI_RETURN_IF_ERROR(ValidateEnsembleParams(series.size(), params));
-    const auto sample = DrawParameterSample(params.wmax, params.amax,
-                                            params.ensemble_size, params.seed);
-    if (static_cast<size_t>(params.prune_to) < sample.size()) {
-      auto out = ComputePrunedEnsembleDensity(series, params, sample, artifacts);
-      if (out.ok()) {
-        size_t kept_count = 0;
-        for (const auto& m : out->members) kept_count += m.kept ? 1 : 0;
-        kept_counter->Add(kept_count);
-      }
-      return out;
-    }
-  }
+  EGI_ASSIGN_OR_RETURN(auto members,
+                       InduceMembers(series, params, /*allow_pruning=*/true,
+                                     artifacts));
+  const size_t population = members.sample.size();
+  const bool pruned = members.built.size() < population;
 
-  std::vector<sax::WaParam> sample;
-  EGI_ASSIGN_OR_RETURN(
-      auto curves,
-      ComputeMemberDensityCurves(series, params, &sample, artifacts));
-
+  CombineSpec spec;
+  spec.selectivity = params.selectivity;
+  spec.combine = params.combine;
+  spec.normalize = params.normalize;
+  spec.filter_by_std = params.filter_by_std;
+  // The std filter keeps round(tau * N) curves, ranked by real (post-
+  // induction) curve std over the members built — on a pruned run, the
+  // full path restricted to the survivor set, so complete screening
+  // coverage implies a bitwise-identical ensemble curve. The already-ranked
+  // fast path (screening order, no second sort) is exact only when every
+  // survivor is kept.
+  const size_t keep_count = static_cast<size_t>(
+      std::lround(params.selectivity * static_cast<double>(population)));
+  spec.already_ranked = pruned && (!params.filter_by_std ||
+                                   keep_count >= members.built.size());
+  spec.rank_population = population;
   std::vector<double> stds;
   std::vector<bool> kept;
   EnsembleResult out;
   {
     telemetry::ScopedTimer combine_timer(combine_hist);
-    out.density = CombineMemberCurves(curves, params.selectivity,
-                                      params.combine, params.normalize,
-                                      params.filter_by_std, &stds, &kept);
+    out.density = CombineMemberCurves(members.curves, spec, &stds, &kept);
+  }
+  // Members the screen dropped report std_dev 0 and kept == false.
+  out.members.reserve(population);
+  for (const auto& draw : members.sample) {
+    out.members.push_back(EnsembleMember{draw.paa_size, draw.alphabet_size});
   }
   size_t kept_count = 0;
-  out.members.resize(sample.size());
-  for (size_t i = 0; i < sample.size(); ++i) {
-    out.members[i] = EnsembleMember{sample[i].paa_size,
-                                    sample[i].alphabet_size, stds[i], kept[i]};
+  for (size_t i = 0; i < members.built.size(); ++i) {
+    out.members[members.built[i]].std_dev = stds[i];
+    out.members[members.built[i]].kept = kept[i];
     kept_count += kept[i] ? 1 : 0;
   }
   kept_counter->Add(kept_count);

@@ -48,8 +48,8 @@ struct EnsembleParams {
   ///
   /// The library-wide default is FromEnv() — EGI_NUM_THREADS, falling back
   /// to hardware_concurrency — everywhere a detector is configured
-  /// (EnsembleParams, eval::MethodConfig, and the registry's `threads=`
-  /// option all agree; pinned by tests/api_spec_test.cc).
+  /// (EnsembleParams and the registry's `threads=` option agree; pinned by
+  /// tests/api_spec_test.cc).
   exec::Parallelism parallelism = exec::Parallelism::FromEnv();
 
   // Ablation knobs (paper behaviour by default, except boundary_correction
@@ -113,12 +113,14 @@ Result<EnsembleResult> ComputeEnsembleDensity(
     EnsembleArtifacts* artifacts = nullptr);
 
 /// Lines 4-6 of Algorithm 1 in isolation: the N raw member density curves
-/// for the parameter draw of `params` (before filtering/normalization).
-/// `out_sample` (optional) receives the drawn (w, a) pairs. Exposed so the
-/// N- and tau-sweep benches can compute member curves once and re-combine
-/// them many ways; a prefix of a without-replacement draw is itself a valid
-/// smaller draw, so N-sweeps may reuse prefixes. `artifacts` (optional)
-/// receives the per-member word counts.
+/// for the parameter draw of `params` (before filtering/normalization),
+/// built by the same code as ComputeEnsembleDensity but never pruned
+/// (`prune_to` is ignored). `out_sample` (optional) receives the drawn
+/// (w, a) pairs. Exposed so the N- and tau-sweep benches can compute member
+/// curves once and re-combine them many ways; a prefix of a
+/// without-replacement draw is itself a valid smaller draw, so N-sweeps may
+/// reuse prefixes. `artifacts` (optional) receives the per-member word
+/// counts.
 Result<std::vector<std::vector<double>>> ComputeMemberDensityCurves(
     std::span<const double> series, const EnsembleParams& params,
     std::vector<sax::WaParam>* out_sample = nullptr,

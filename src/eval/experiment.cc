@@ -2,17 +2,29 @@
 
 #include <algorithm>
 
-#include "exec/parallel.h"
+#include "api/internal.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace egi::eval {
 
+std::vector<PaperMethod> PaperMethods(int ensemble_size, int threads) {
+  const std::string n = std::to_string(ensemble_size);
+  const std::string t = std::to_string(threads);
+  return {
+      {"Proposed", "ensemble:n=" + n + ",threads=" + t},
+      {"GI-Random", "gi-random"},
+      {"GI-Fix", "gi-fix"},
+      {"GI-Select", "gi-select"},
+      {"Discord", "discord:threads=" + t},
+  };
+}
+
 const MethodAggregate& ExperimentResult::Get(datasets::UcrDataset d,
-                                             Method m) const {
+                                             std::string_view label) const {
   auto dit = scores.find(d);
   EGI_CHECK(dit != scores.end()) << "dataset not evaluated";
-  auto mit = dit->second.find(m);
+  auto mit = dit->second.find(label);
   EGI_CHECK(mit != dit->second.end()) << "method not evaluated";
   return mit->second;
 }
@@ -34,7 +46,7 @@ std::vector<datasets::PlantedSeries> MakeEvaluationSeries(
 
 ExperimentResult RunExperiment(
     std::span<const datasets::UcrDataset> datasets_to_run,
-    std::span<const Method> methods, const ExperimentConfig& config) {
+    std::span<const PaperMethod> methods, const ExperimentConfig& config) {
   const size_t num_datasets = datasets_to_run.size();
   const size_t num_methods = methods.size();
 
@@ -62,17 +74,22 @@ ExperimentResult RunExperiment(
   exec::ParallelFor(
       config.parallelism, 0, cells.size(), /*grain=*/1, [&](size_t idx) {
         const size_t d = idx / num_methods;
-        const Method method = methods[idx % num_methods];
+        const PaperMethod& method = methods[idx % num_methods];
         const DatasetInputs& in = inputs[d];
 
-        auto detector = MakeMethod(method, config.method_config);
+        auto spec = DetectorSpec::Parse(method.spec);
+        EGI_CHECK(spec.ok())
+            << method.label << ": " << spec.status().ToString();
+        auto detector = api::BuildDetector(*spec);
+        EGI_CHECK(detector.ok())
+            << method.label << ": " << detector.status().ToString();
         MethodAggregate agg;
         agg.scores.reserve(in.series.size());
         for (const auto& s : in.series) {
           auto candidates =
-              detector->Detect(s.values, in.window, config.top_k);
+              (*detector)->Detect(s.values, in.window, config.top_k);
           EGI_CHECK(candidates.ok())
-              << MethodName(method) << ": " << candidates.status().ToString();
+              << method.label << ": " << candidates.status().ToString();
           agg.scores.push_back(BestScore(candidates.value(), s.anomaly));
         }
         cells[idx] = std::move(agg);
@@ -81,7 +98,7 @@ ExperimentResult RunExperiment(
   ExperimentResult result;
   for (size_t d = 0; d < num_datasets; ++d) {
     for (size_t m = 0; m < num_methods; ++m) {
-      result.scores[datasets_to_run[d]][methods[m]] =
+      result.scores[datasets_to_run[d]][methods[m].label] =
           std::move(cells[d * num_methods + m]);
     }
   }

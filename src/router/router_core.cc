@@ -11,6 +11,7 @@
 
 #include "egi/session.h"
 #include "egi/telemetry.h"
+#include "service/http.h"
 #include "util/json.h"
 
 namespace egi::router {
@@ -750,25 +751,6 @@ IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
 
 // ----------------------------------------------------------- control plane
 
-namespace {
-
-/// "/v1/streams/<gid>" → gid (no suffix accepted on the router).
-bool ParseStreamPath(std::string_view path, size_t* gid) {
-  constexpr std::string_view kPrefix = "/v1/streams/";
-  if (path.substr(0, kPrefix.size()) != kPrefix) return false;
-  const std::string_view digits = path.substr(kPrefix.size());
-  if (digits.empty() || digits.size() > 18) return false;
-  size_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<size_t>(c - '0');
-  }
-  *gid = value;
-  return true;
-}
-
-}  // namespace
-
 size_t RouterCore::num_streams() const {
   std::shared_lock<std::shared_mutex> lock(impl_->table_mu);
   size_t live = 0;
@@ -915,7 +897,9 @@ std::string RouterCore::Handle(const HttpRequest& request) {
     }
     return RenderHttpError(405, "use GET or POST");
   }
-  if (size_t gid = 0; ParseStreamPath(request.path, &gid)) {
+  std::string_view suffix;  // the router serves no per-stream subroutes
+  if (size_t gid = 0; service::ParseStreamPath(request.path, &gid, &suffix) &&
+                      suffix.empty()) {
     if (request.method != "GET" && request.method != "DELETE") {
       return RenderHttpError(405, "use GET or DELETE");
     }

@@ -266,4 +266,23 @@ int StatusToHttp(const Status& status) {
   return 500;
 }
 
+bool ParseStreamPath(std::string_view path, size_t* id,
+                     std::string_view* suffix) {
+  constexpr std::string_view kPrefix = "/v1/streams/";
+  if (path.substr(0, kPrefix.size()) != kPrefix) return false;
+  std::string_view digits = path.substr(kPrefix.size());
+  const size_t slash = digits.find('/');
+  *suffix = slash == std::string_view::npos ? std::string_view{}
+                                            : digits.substr(slash);
+  if (slash != std::string_view::npos) digits = digits.substr(0, slash);
+  if (digits.empty() || digits.size() > 18) return false;
+  size_t value = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + static_cast<size_t>(c - '0');
+  }
+  *id = value;
+  return true;
+}
+
 }  // namespace egi::service

@@ -90,4 +90,10 @@ std::string RenderHttpError(int status, std::string_view message);
 /// Status code → HTTP status mapping shared by every control-plane handler.
 int StatusToHttp(const Status& status);
 
+/// Splits "/v1/streams/<id>[/<suffix>]" into the decimal id (1-18 digits)
+/// and whatever follows it ("" or e.g. "/checkpoint"). False for any other
+/// path, including an empty, non-decimal or longer id.
+bool ParseStreamPath(std::string_view path, size_t* id,
+                     std::string_view* suffix);
+
 }  // namespace egi::service

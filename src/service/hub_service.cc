@@ -244,9 +244,6 @@ IngestResponse HubService::HandleIngest(const IngestRequest& request) {
   }
   Impl::StreamState& st = *impl_->streams[request.stream];
   if (st.deleted) return reject(RejectReason::kUnknownStream);
-  if (!impl_->ConsumeQuota(*st.tenant, request.values.size())) {
-    return reject(RejectReason::kRateLimited);
-  }
 
   bool need_schedule = false;
   {
@@ -254,6 +251,10 @@ IngestResponse HubService::HandleIngest(const IngestRequest& request) {
     if (impl_->options.queue_capacity - st.queue.size() <
         request.values.size()) {
       return reject(RejectReason::kQueueFull);
+    }
+    // Only a frame that fits spends quota (lock order: queue, then tenant).
+    if (!impl_->ConsumeQuota(*st.tenant, request.values.size())) {
+      return reject(RejectReason::kRateLimited);
     }
     st.queue.insert(st.queue.end(), request.values.begin(),
                     request.values.end());
@@ -752,27 +753,6 @@ std::string RenderStreamInfo(const StreamInfo& info) {
   out += ",\"window_length\":" + std::to_string(info.stats.window_length);
   out += "}}";
   return out;
-}
-
-/// "/v1/streams/<id>[/<suffix>]" → id plus whatever follows the digits
-/// ("" or e.g. "/checkpoint"); false for anything else under that prefix.
-bool ParseStreamPath(std::string_view path, size_t* id,
-                     std::string_view* suffix) {
-  constexpr std::string_view kPrefix = "/v1/streams/";
-  if (path.substr(0, kPrefix.size()) != kPrefix) return false;
-  std::string_view digits = path.substr(kPrefix.size());
-  const size_t slash = digits.find('/');
-  *suffix = slash == std::string_view::npos ? std::string_view{}
-                                            : digits.substr(slash);
-  if (slash != std::string_view::npos) digits = digits.substr(0, slash);
-  if (digits.empty() || digits.size() > 18) return false;
-  size_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<size_t>(c - '0');
-  }
-  *id = value;
-  return true;
 }
 
 }  // namespace

@@ -208,6 +208,35 @@ TEST(PrunedEnsembleTest, PruneToLargerThanSampleTakesTheFullPath) {
   }
 }
 
+TEST(PrunedEnsembleTest, FilterOffCombinesEverySurvivor) {
+  // With the std filter off a pruned run keeps all of its survivors and
+  // combines them in screening order. The median does not depend on row
+  // order, so the same members' curves from the unpruned member builder,
+  // combined in draw order, must give the same bits.
+  const auto series = NoisySine(600, 42);
+  EnsembleParams p = PrunedBase(77);
+  p.prune_to = 8;
+  p.filter_by_std = false;
+  p.combine = CombineRule::kMedian;
+
+  const auto pruned = ComputeEnsembleDensity(series, p);
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  const auto curves = ComputeMemberDensityCurves(series, p);
+  ASSERT_TRUE(curves.ok()) << curves.status().ToString();
+  ASSERT_EQ(curves->size(), pruned->members.size());
+
+  std::vector<std::vector<double>> survivors;
+  for (size_t i = 0; i < pruned->members.size(); ++i) {
+    if (pruned->members[i].kept) survivors.push_back((*curves)[i]);
+  }
+  ASSERT_EQ(survivors.size(), 8u);
+
+  CombineSpec spec;
+  spec.filter_by_std = false;
+  spec.combine = CombineRule::kMedian;
+  EXPECT_EQ(CombineMemberCurves(survivors, spec), pruned->density);
+}
+
 TEST(PrunedEnsembleTest, NegativePruneToIsRejected) {
   const auto series = NoisySine(400, 3);
   EnsembleParams p = PrunedBase(9);

@@ -12,7 +12,7 @@
 #include "egi/registry.h"
 #include "egi/session.h"
 #include "egi/spec.h"
-#include "eval/methods.h"
+#include "eval/experiment.h"
 #include "exec/parallel.h"
 
 namespace egi {
@@ -130,9 +130,10 @@ TEST(RegistryTest, FormatDetectorListHasOneLinePerDetectorWithSchema) {
 }
 
 TEST(RegistryTest, MethodSpecNamesMatchRegistry) {
-  for (const eval::Method m : eval::kAllMethods) {
-    EXPECT_NE(FindDetector(eval::MethodSpecName(m)), nullptr)
-        << eval::MethodName(m);
+  for (const auto& m : eval::PaperMethods(50, 1)) {
+    auto spec = DetectorSpec::Parse(m.spec);
+    ASSERT_TRUE(spec.ok()) << m.spec;
+    EXPECT_NE(FindDetector(spec->method), nullptr) << m.label;
   }
 }
 
@@ -254,7 +255,7 @@ TEST(SessionOpenTest, CanonicalSpecRoundTripsToTheSameSession) {
 TEST(ThreadsDefaultTest, AllConfigSurfacesAgreeOnFromEnv) {
   const int from_env = exec::Parallelism::FromEnv().threads;
   EXPECT_EQ(core::EnsembleParams{}.parallelism.threads, from_env);
-  EXPECT_EQ(eval::MethodConfig{}.parallelism.threads, from_env);
+  EXPECT_EQ(eval::ExperimentConfig{}.parallelism.threads, from_env);
 
   auto session = Session::Open("ensemble");
   ASSERT_TRUE(session.ok());

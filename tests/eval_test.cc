@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "api/internal.h"
+#include "egi/session.h"
 #include "eval/experiment.h"
-#include "eval/methods.h"
 #include "eval/metrics.h"
 
 namespace egi::eval {
@@ -103,19 +105,31 @@ TEST(MethodAggregateTest, EmptyAggregates) {
 // ----------------------------------------------------------------- methods
 
 TEST(MethodsTest, NamesMatchPaper) {
-  EXPECT_EQ(MethodName(Method::kProposed), "Proposed");
-  EXPECT_EQ(MethodName(Method::kGiRandom), "GI-Random");
-  EXPECT_EQ(MethodName(Method::kGiFix), "GI-Fix");
-  EXPECT_EQ(MethodName(Method::kGiSelect), "GI-Select");
-  EXPECT_EQ(MethodName(Method::kDiscord), "Discord");
+  std::vector<std::string> labels;
+  for (const auto& m : PaperMethods(50, 1)) labels.push_back(m.label);
+  EXPECT_EQ(labels, (std::vector<std::string>{"Proposed", "GI-Random",
+                                              "GI-Fix", "GI-Select",
+                                              "Discord"}));
 }
 
 TEST(MethodsTest, FactoryBuildsEveryMethod) {
-  for (Method m : kAllMethods) {
-    auto det = MakeMethod(m);
-    ASSERT_NE(det, nullptr);
-    EXPECT_FALSE(det->name().empty());
+  const auto methods = PaperMethods(/*ensemble_size=*/8, /*threads=*/3);
+  for (const auto& m : methods) {
+    auto spec = DetectorSpec::Parse(m.spec);
+    ASSERT_TRUE(spec.ok()) << m.spec;
+    auto det = api::BuildDetector(*spec);
+    ASSERT_TRUE(det.ok()) << m.label << ": " << det.status().ToString();
+    EXPECT_FALSE((*det)->name().empty());
   }
+  // N and threads reach the specs; every other key is the paper's setting.
+  auto proposed = Session::Open(methods[0].spec);
+  ASSERT_TRUE(proposed.ok());
+  EXPECT_EQ(proposed->spec(),
+            "ensemble:wmax=10,amax=10,n=8,tau=0.4,seed=42,prune_to=0,"
+            "threads=3");
+  auto discord = Session::Open(methods[4].spec);
+  ASSERT_TRUE(discord.ok());
+  EXPECT_EQ(discord->spec(), "discord:threads=3");
 }
 
 // -------------------------------------------------------- experiment runner
@@ -144,13 +158,13 @@ TEST(ExperimentTest, LargerCountExtendsSameSeries) {
 TEST(ExperimentTest, RunsEndToEndOnSmallConfig) {
   ExperimentConfig cfg;
   cfg.series_per_dataset = 2;
-  cfg.method_config.ensemble_size = 8;
   const datasets::UcrDataset ds[] = {datasets::UcrDataset::kGunPoint};
-  const Method methods[] = {Method::kProposed, Method::kGiFix};
+  const auto all = PaperMethods(8, exec::Parallelism::FromEnv().threads);
+  const PaperMethod methods[] = {all[0], all[2]};  // Proposed, GI-Fix
   const auto result = RunExperiment(ds, methods, cfg);
 
-  const auto& proposed = result.Get(ds[0], Method::kProposed);
-  const auto& fix = result.Get(ds[0], Method::kGiFix);
+  const auto& proposed = result.Get(ds[0], "Proposed");
+  const auto& fix = result.Get(ds[0], "GI-Fix");
   EXPECT_EQ(proposed.scores.size(), 2u);
   EXPECT_EQ(fix.scores.size(), 2u);
   for (double s : proposed.scores) {

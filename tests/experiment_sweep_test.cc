@@ -4,6 +4,7 @@
 
 #include "eval/experiment.h"
 #include "eval/metrics.h"
+#include "exec/parallel.h"
 
 namespace egi::eval {
 namespace {
@@ -21,14 +22,14 @@ TEST_P(ExperimentSweepTest, RunnerInvariants) {
   ExperimentConfig cfg;
   cfg.series_per_dataset = 3;
   cfg.window_fraction = fraction;
-  cfg.method_config.ensemble_size = 10;
 
   const datasets::UcrDataset ds[] = {dataset};
-  const Method methods[] = {Method::kProposed, Method::kGiFix};
+  const auto all = PaperMethods(10, exec::Parallelism::FromEnv().threads);
+  const PaperMethod methods[] = {all[0], all[2]};  // Proposed, GI-Fix
   const auto result = RunExperiment(ds, methods, cfg);
 
-  for (const Method m : methods) {
-    const auto& agg = result.Get(dataset, m);
+  for (const auto& m : methods) {
+    const auto& agg = result.Get(dataset, m.label);
     ASSERT_EQ(agg.scores.size(), 3u);
     int positive = 0;
     for (double s : agg.scores) {
@@ -46,8 +47,8 @@ TEST_P(ExperimentSweepTest, RunnerInvariants) {
   }
 
   // W/T/L conserves the series count.
-  const auto wtl = CompareScores(result.Get(dataset, Method::kProposed),
-                                 result.Get(dataset, Method::kGiFix));
+  const auto wtl = CompareScores(result.Get(dataset, "Proposed"),
+                                 result.Get(dataset, "GI-Fix"));
   EXPECT_EQ(wtl.wins + wtl.ties + wtl.losses, 3);
 }
 
@@ -65,14 +66,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ExperimentSweepTest, ResultsAreReproducibleAcrossRuns) {
   ExperimentConfig cfg;
   cfg.series_per_dataset = 2;
-  cfg.method_config.ensemble_size = 8;
   const datasets::UcrDataset ds[] = {datasets::UcrDataset::kWafer};
-  const Method methods[] = {Method::kProposed};
+  const auto all = PaperMethods(8, exec::Parallelism::FromEnv().threads);
+  const auto methods = std::span(all).first(1);  // Proposed
 
   const auto a = RunExperiment(ds, methods, cfg);
   const auto b = RunExperiment(ds, methods, cfg);
-  EXPECT_EQ(a.Get(ds[0], Method::kProposed).scores,
-            b.Get(ds[0], Method::kProposed).scores);
+  EXPECT_EQ(a.Get(ds[0], "Proposed").scores, b.Get(ds[0], "Proposed").scores);
 }
 
 }  // namespace

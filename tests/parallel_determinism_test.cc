@@ -213,25 +213,25 @@ TEST(ParallelDeterminismTest, StreamingBitwiseIdenticalTelemetryOnVsOff) {
 // -------------------------------------------------------------- experiment
 
 TEST(ParallelDeterminismTest, ExperimentScoresIdenticalAcrossThreads) {
+  // Proposed, GI-Random and Discord at N = 8 and `threads` threads.
+  const auto methods = [](int threads) {
+    const auto all = eval::PaperMethods(8, threads);
+    return std::vector<eval::PaperMethod>{all[0], all[1], all[4]};
+  };
   eval::ExperimentConfig cfg;
   cfg.series_per_dataset = 2;
-  cfg.method_config.ensemble_size = 8;
-  cfg.method_config.parallelism = exec::Parallelism::Serial();
   cfg.parallelism = exec::Parallelism::Serial();
 
   const datasets::UcrDataset ds[] = {datasets::UcrDataset::kWafer};
-  const eval::Method methods[] = {eval::Method::kProposed,
-                                  eval::Method::kGiRandom,
-                                  eval::Method::kDiscord};
-  const auto serial = eval::RunExperiment(ds, methods, cfg);
+  const auto serial = eval::RunExperiment(ds, methods(1), cfg);
 
   cfg.parallelism = exec::Parallelism::Fixed(4);
-  cfg.method_config.parallelism = exec::Parallelism::Fixed(4);
-  const auto parallel = eval::RunExperiment(ds, methods, cfg);
+  const auto parallel = eval::RunExperiment(ds, methods(4), cfg);
 
-  for (const auto m : methods) {
-    EXPECT_EQ(serial.Get(ds[0], m).scores, parallel.Get(ds[0], m).scores)
-        << eval::MethodName(m);
+  for (const auto& m : methods(1)) {
+    EXPECT_EQ(serial.Get(ds[0], m.label).scores,
+              parallel.Get(ds[0], m.label).scores)
+        << m.label;
   }
 }
 

@@ -300,6 +300,7 @@ TEST(RouterTest, CreatesStreamsAcrossShardsAndRewritesIds) {
 
   // Unknown ids and unknown routes are typed errors.
   EXPECT_EQ(rig.Http("GET", "/v1/streams/99").status, 404);
+  EXPECT_EQ(rig.Http("GET", "/v1/streams/7/checkpoint").status, 404);
   EXPECT_EQ(rig.Http("GET", "/v1/bogus").status, 404);
   const auto reject = rig.Ingest(99, points);
   EXPECT_EQ(reject.type, service::FrameType::kReject);

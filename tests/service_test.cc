@@ -104,6 +104,26 @@ TEST(HttpTest, RendersContentLengthFramedResponse) {
             std::string::npos);
 }
 
+TEST(HttpTest, ParsesStreamPaths) {
+  size_t id = 0;
+  std::string_view suffix;
+  ASSERT_TRUE(ParseStreamPath("/v1/streams/42", &id, &suffix));
+  EXPECT_EQ(id, 42u);
+  EXPECT_EQ(suffix, "");
+  ASSERT_TRUE(ParseStreamPath("/v1/streams/7/checkpoint", &id, &suffix));
+  EXPECT_EQ(id, 7u);
+  EXPECT_EQ(suffix, "/checkpoint");
+  ASSERT_TRUE(
+      ParseStreamPath("/v1/streams/999999999999999999", &id, &suffix));
+  EXPECT_EQ(id, 999999999999999999u);  // 18 digits: the longest id
+  for (const std::string_view bad :
+       {"/v1/streams/", "/v1/streams//checkpoint", "/v1/streams/4x",
+        "/v1/streams/-1", "/v1/streams/1234567890123456789", "/v1/stream/1",
+        "/v2/streams/1"}) {
+    EXPECT_FALSE(ParseStreamPath(bad, &id, &suffix)) << bad;
+  }
+}
+
 // ------------------------------------------------------------------ frames
 
 TEST(FrameTest, IngestRoundTrip) {
@@ -426,6 +446,22 @@ TEST_F(ServiceTest, TokenBucketRateLimitWithInjectedClock) {
   // failed attempt above did not double-charge.
   const IngestResponse after = SendPoints(*service, id, eighty);
   EXPECT_EQ(after.reason, RejectReason::kRateLimited);
+
+  // Nor do frames rejected as queue_full: 65 points never fit a 64-point
+  // queue, so none is admitted and the next 40-point frame still finds the
+  // full burst of 100 tokens.
+  auto bounded_options = SmallServiceOptions();
+  bounded_options.points_per_second = 100.0;
+  bounded_options.queue_capacity = 64;
+  bounded_options.now_ns = [&fake_now] { return fake_now; };
+  auto bounded = MustCreate(std::move(bounded_options));
+  const size_t bounded_id = *bounded->CreateStream("t", "s");
+  const IngestResponse full =
+      SendPoints(*bounded, bounded_id, std::vector<double>(65, 0.5));
+  EXPECT_EQ(full.type, FrameType::kReject);
+  EXPECT_EQ(full.reason, RejectReason::kQueueFull);
+  EXPECT_EQ(SendPoints(*bounded, bounded_id, std::vector<double>(40, 0.5)).type,
+            FrameType::kAck);
 }
 
 TEST_F(ServiceTest, HttpControlPlaneEndToEnd) {
