@@ -8,7 +8,6 @@
 
 #include "core/gi.h"
 #include "egi/telemetry.h"
-#include "grammar/sequitur.h"
 #include "ts/stats.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -93,13 +92,8 @@ ScreeningStat ScreenCandidate(const sax::DiscretizedSeries& series,
 std::vector<double> InduceMember(sax::DiscretizedSeries& member,
                                  bool boundary_correction,
                                  MemberWordCounts* counts) {
-  std::vector<double> curve;
-  {
-    auto builder = grammar::AcquireScratchBuilder();
-    curve = RunGrammarInductionOnTokens(member, boundary_correction,
-                                        builder.get())
-                .density;
-  }
+  std::vector<double> curve =
+      RunGrammarInductionOnTokens(member, boundary_correction).density;
   sax::DiscretizedSeries done = std::move(member);
   if (counts != nullptr) {
     PositionCounts(done, counts->position_counts);
@@ -186,9 +180,9 @@ Result<InducedMembers> InduceMembers(std::span<const double> series,
   }
 
   // The inductions are independent; each writes only its own slot, so the
-  // parallel result is bitwise-identical to the serial one. Each member
-  // leases a warm Sequitur builder from the process-wide scratch pool
-  // (grammar/sequitur.h): the pool's high-water mark is the executing
+  // parallel result is bitwise-identical to the serial one. Each member's
+  // induction leases a warm Sequitur builder from the process-wide scratch
+  // pool (grammar/sequitur.h): the pool's high-water mark is the executing
   // concurrency, so across runs — batch calls, every streaming refit, every
   // stream in a hub — the same few arenas and digram tables serve all
   // grammar inductions allocation-free. Builder reuse is bitwise-output-

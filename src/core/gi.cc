@@ -6,25 +6,20 @@
 namespace egi::core {
 
 GiRun RunGrammarInductionOnTokens(const sax::DiscretizedSeries& discretized,
-                                  bool boundary_correction,
-                                  grammar::SequiturBuilder* scratch) {
+                                  bool boundary_correction) {
   GiRun run;
   run.num_tokens = discretized.seq.size();
   run.vocabulary = discretized.table.size();
 
-  grammar::Grammar g;
-  if (scratch != nullptr) {
-    scratch->Reset();
-    scratch->AppendAll(discretized.seq.tokens);
-    g = scratch->Build();
-  } else {
-    g = grammar::InduceGrammar(discretized.seq.tokens);
-  }
-  run.num_rules = g.rules.size();
-  run.grammar_symbols = g.TotalRhsSymbols();
+  auto builder = grammar::AcquireScratchBuilder();
+  builder->Reset();
+  builder->AppendAll(discretized.seq.tokens);
+  grammar::GrammarSize size;
   run.density = grammar::BuildRuleDensityCurve(
-      g, discretized.seq.offsets, discretized.series_length,
-      discretized.window_length, boundary_correction);
+      *builder, discretized.seq.offsets, discretized.series_length,
+      discretized.window_length, boundary_correction, &size);
+  run.num_rules = size.num_rules;
+  run.grammar_symbols = size.symbols;
   return run;
 }
 

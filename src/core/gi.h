@@ -3,8 +3,6 @@
 #include <span>
 #include <vector>
 
-#include "grammar/grammar.h"
-#include "grammar/sequitur.h"
 #include "sax/sax_encoder.h"
 #include "ts/stats.h"
 #include "util/result.h"
@@ -41,11 +39,12 @@ Result<GiRun> RunGrammarInduction(std::span<const double> series,
 
 /// Same pipeline starting from an already-discretized series (used by the
 /// ensemble so discretization can be shared through the multi-resolution
-/// encoder). When `scratch` is non-null the induction runs through
-/// scratch->Reset() + AppendAll instead of a fresh builder, reusing its
-/// arenas and digram table; the output is bitwise-identical either way.
+/// encoder). The induction runs on a builder leased from the scratch pool
+/// (grammar::AcquireScratchBuilder), and the density, rule count and
+/// description length are read from the builder's live grammar in one walk,
+/// without Build(); the output is bitwise-identical to a fresh builder's
+/// Build() fed to BuildRuleDensityCurve (tested).
 GiRun RunGrammarInductionOnTokens(const sax::DiscretizedSeries& discretized,
-                                  bool boundary_correction = true,
-                                  grammar::SequiturBuilder* scratch = nullptr);
+                                  bool boundary_correction = true);
 
 }  // namespace egi::core

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "grammar/grammar.h"
+#include "grammar/sequitur.h"
 
 namespace egi::grammar {
 
@@ -29,5 +30,17 @@ std::vector<double> BuildRuleDensityCurve(const Grammar& grammar,
                                           size_t series_length,
                                           size_t window_length,
                                           bool normalize_by_coverage = false);
+
+/// The same curve read straight from `builder`'s live grammar, without
+/// Build(): SequiturBuilder::VisitRuleOccurrences feeds the same coverage
+/// diff, so the result is bitwise-equal to BuildRuleDensityCurve(
+/// builder.Build(), ...) (tested). `size`, when non-null, receives the
+/// grammar's rule count and description length from the same walk.
+std::vector<double> BuildRuleDensityCurve(const SequiturBuilder& builder,
+                                          std::span<const size_t> offsets,
+                                          size_t series_length,
+                                          size_t window_length,
+                                          bool normalize_by_coverage,
+                                          GrammarSize* size = nullptr);
 
 }  // namespace egi::grammar

@@ -1,7 +1,6 @@
 #include "grammar/sequitur.h"
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "grammar/digram_table.h"
@@ -252,6 +251,68 @@ struct SequiturBuilder::Impl {
     Check(t->prev);
     ++appended;
   }
+
+  // The derivation walk behind Build() and VisitRuleOccurrences: calls
+  // visit(rule, start, length) for every dynamic occurrence of every rule
+  // (R0 excluded), in preorder from the root, and returns the grammar's
+  // size. Expansion lengths come first, from one pass over the live rules,
+  // memoized by uid (the rule's arena slot): 0 = not computed yet (a live
+  // rule expands to >= 2 tokens), kVisiting = on the current path, i.e. a
+  // cycle. Rule nesting depth is logarithmic for realistic inputs, so the
+  // recursion is safe.
+  template <typename Visit>
+  GrammarSize WalkOccurrences(Visit&& visit) const {
+    GrammarSize size;
+    constexpr size_t kVisiting = static_cast<size_t>(-1);
+    std::vector<size_t> length(rules_used, 0);
+    auto expansion = [&](auto&& self, const RuleImpl& r) -> size_t {
+      EGI_CHECK(length[r.uid] != kVisiting) << "cycle in grammar";
+      if (length[r.uid] != 0) return length[r.uid];
+      length[r.uid] = kVisiting;
+      size_t len = 0;
+      for (const Node* n = r.guard_node->next; !IsGuard(n); n = n->next) {
+        ++size.symbols;
+        if (n->rule != nullptr) {
+          EGI_CHECK(n->rule->alive) << "reference to dead rule";
+          len += self(self, *n->rule);
+        } else {
+          len += 1;
+        }
+      }
+      length[r.uid] = len;
+      return len;
+    };
+    for (size_t q = 0; q < rules_used; ++q) {
+      const RuleImpl& r = rule_arena[q];
+      if (!r.alive || &r == root) continue;
+      ++size.num_rules;
+      expansion(expansion, r);
+    }
+    for (const Node* n = root->guard_node->next; !IsGuard(n); n = n->next) {
+      ++size.symbols;
+      EGI_CHECK(n->rule == nullptr || n->rule->alive)
+          << "reference to dead rule";
+    }
+
+    auto walk = [&](auto&& self, const RuleImpl& r, size_t pos) -> size_t {
+      for (const Node* n = r.guard_node->next; !IsGuard(n); n = n->next) {
+        if (n->rule == nullptr) {
+          pos += 1;
+          continue;
+        }
+        const size_t e = length[n->rule->uid];
+        visit(*n->rule, pos, e);
+        self(self, *n->rule, pos);
+        pos += e;
+      }
+      return pos;
+    };
+    const size_t total = walk(walk, *root, 0);
+    EGI_CHECK(total == appended)
+        << "grammar expansion length " << total << " != input length "
+        << appended;
+    return size;
+  }
 };
 
 SequiturBuilder::SequiturBuilder() : impl_(std::make_unique<Impl>()) {}
@@ -275,12 +336,14 @@ Grammar SequiturBuilder::Build() const {
   g.input_length = impl_->appended;
 
   // Compact alive rules (excluding the root) in creation order: R1, R2, ...
-  // Only the first `rules_used` arena slots belong to the current run.
-  std::unordered_map<const RuleImpl*, size_t> index;
+  // Only the first `rules_used` arena slots belong to the current run, and a
+  // rule's uid is its arena slot, so a flat uid -> rule index table serves
+  // as the index (-1: dead, or the root).
+  std::vector<int32_t> index(impl_->rules_used, -1);
   for (size_t q = 0; q < impl_->rules_used; ++q) {
     const RuleImpl& r = impl_->rule_arena[q];
     if (!r.alive || &r == impl_->root) continue;
-    index.emplace(&r, g.rules.size());
+    index[q] = static_cast<int32_t>(g.rules.size());
     g.rules.emplace_back();
   }
 
@@ -288,9 +351,9 @@ Grammar SequiturBuilder::Build() const {
     std::vector<SymbolId> rhs;
     for (Node* n = r.guard_node->next; !Impl::IsGuard(n); n = n->next) {
       if (n->rule != nullptr) {
-        auto it = index.find(n->rule);
-        EGI_CHECK(it != index.end()) << "reference to dead rule";
-        rhs.push_back(MakeRuleSym(it->second));
+        const int32_t k = index[n->rule->uid];
+        EGI_CHECK(k >= 0) << "reference to dead rule";
+        rhs.push_back(MakeRuleSym(static_cast<size_t>(k)));
       } else {
         rhs.push_back(n->terminal);
       }
@@ -310,42 +373,21 @@ Grammar SequiturBuilder::Build() const {
     }
   }
 
-  // Expansion lengths by memoized depth-first traversal. Rule nesting depth
-  // is logarithmic for realistic inputs; recursion is safe here.
-  std::vector<int> state(g.rules.size(), 0);  // 0=unvisited 1=visiting 2=done
-  auto expansion = [&](auto&& self, size_t k) -> size_t {
-    EGI_CHECK(state[k] != 1) << "cycle in grammar";
-    if (state[k] == 2) return g.rules[k].expansion_length;
-    state[k] = 1;
-    size_t len = 0;
-    for (SymbolId s : g.rules[k].rhs)
-      len += IsRuleSym(s) ? self(self, RuleIndexOf(s)) : 1;
-    g.rules[k].expansion_length = len;
-    state[k] = 2;
-    return len;
-  };
-  for (size_t k = 0; k < g.rules.size(); ++k) expansion(expansion, k);
-
-  // Dynamic occurrences: walk the derivation tree from the root once.
-  auto walk = [&](auto&& self, std::span<const SymbolId> syms,
-                  size_t pos) -> size_t {
-    for (SymbolId s : syms) {
-      if (IsRuleSym(s)) {
-        const size_t k = RuleIndexOf(s);
-        g.rules[k].occurrences.push_back(pos);
-        self(self, g.rules[k].rhs, pos);
-        pos += g.rules[k].expansion_length;
-      } else {
-        pos += 1;
-      }
-    }
-    return pos;
-  };
-  const size_t total = walk(walk, g.root, 0);
-  EGI_CHECK(total == g.input_length)
-      << "grammar expansion length " << total << " != input length "
-      << g.input_length;
+  // Expansion lengths and dynamic occurrences: the shared derivation walk.
+  impl_->WalkOccurrences([&](const RuleImpl& r, size_t start, size_t length) {
+    GrammarRule& rule = g.rules[static_cast<size_t>(index[r.uid])];
+    rule.expansion_length = length;
+    rule.occurrences.push_back(start);
+  });
   return g;
+}
+
+GrammarSize SequiturBuilder::VisitRuleOccurrences(
+    const std::function<void(size_t, size_t)>& visit) const {
+  return impl_->WalkOccurrences(
+      [&](const RuleImpl&, size_t start, size_t length) {
+        visit(start, length);
+      });
 }
 
 Grammar InduceGrammar(std::span<const int32_t> tokens) {

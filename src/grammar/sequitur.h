@@ -1,12 +1,19 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "exec/scratch_pool.h"
 #include "grammar/grammar.h"
 
 namespace egi::grammar {
+
+/// Size of a grammar: Build()'s rules.size() and TotalRhsSymbols().
+struct GrammarSize {
+  size_t num_rules = 0;  ///< rules, R0 excluded
+  size_t symbols = 0;    ///< |R0| + sum of |rhs|
+};
 
 /// Online Sequitur grammar induction (Nevill-Manning & Witten 1997; paper
 /// Section 5.1). Tokens are appended one at a time; the builder maintains
@@ -53,6 +60,16 @@ class SequiturBuilder {
   /// Extracts the grammar artifact: compacted rules in creation order with
   /// usage counts, expansion lengths, and all dynamic occurrences.
   Grammar Build() const;
+
+  /// Reads the live grammar in place, without building it: calls
+  /// `visit(start, length)` once per dynamic occurrence of every rule (R0
+  /// excluded), where `start` is the occurrence's first token index and
+  /// `length` its expansion length, and returns the grammar's size. Build()
+  /// fills its rules' occurrences and expansion lengths from this same
+  /// derivation walk, so the pairs are exactly Build()'s
+  /// (occurrences[i], expansion_length) pairs (tested).
+  GrammarSize VisitRuleOccurrences(
+      const std::function<void(size_t start, size_t length)>& visit) const;
 
  private:
   struct Impl;

@@ -63,21 +63,26 @@ BreakpointSummary::BreakpointSummary(int amax) : amax_(amax) {
   EGI_CHECK(amax >= kMinAlphabetSize && amax <= kMaxAlphabetSize)
       << "amax " << amax << " out of range";
 
+  // Each alphabet's breakpoints, computed once (index a - 2).
+  std::vector<std::vector<double>> per_alphabet;
+  for (int a = kMinAlphabetSize; a <= amax; ++a) {
+    per_alphabet.push_back(GaussianBreakpoints(a));
+  }
+
   // Merge all breakpoints. Identical quantile probabilities produce
   // bit-identical doubles (i/a is correctly rounded, and InverseNormalCdf is
   // deterministic), so exact dedup is sufficient.
-  for (int a = kMinAlphabetSize; a <= amax; ++a) {
-    auto bps = GaussianBreakpoints(a);
+  for (const auto& bps : per_alphabet) {
     merged_.insert(merged_.end(), bps.begin(), bps.end());
   }
   std::sort(merged_.begin(), merged_.end());
   merged_.erase(std::unique(merged_.begin(), merged_.end()), merged_.end());
 
-  // For each interval, resolve the symbol under every alphabet size using a
-  // representative point strictly inside the interval.
-  const size_t intervals = merged_.size() + 1;
-  const size_t alphabets = static_cast<size_t>(amax_) - 1;
-  symbols_.resize(intervals * alphabets);
+  // One representative point strictly inside each interval. Intervals are
+  // pure — all breakpoints of all sizes are on the merged axis — so the
+  // representative's symbol is the interval's symbol.
+  const size_t intervals = num_intervals();
+  std::vector<double> reps(intervals);
   for (size_t j = 0; j < intervals; ++j) {
     double rep;
     if (j == 0) {
@@ -90,13 +95,13 @@ BreakpointSummary::BreakpointSummary(int amax) : amax_(amax) {
       // intervals: fall back to the left edge, which is inside [lo, hi).
       if (rep <= merged_[j - 1] || rep >= merged_[j]) rep = merged_[j - 1];
     }
-    for (int a = kMinAlphabetSize; a <= amax_; ++a) {
-      auto bps = GaussianBreakpoints(a);
-      int sym = SymbolForValue(rep, bps);
-      // Intervals must be pure: representative's symbol is the interval's
-      // symbol because all breakpoints of all sizes are on the merged axis.
-      symbols_[j * alphabets + static_cast<size_t>(a - 2)] =
-          static_cast<uint8_t>(sym);
+    reps[j] = rep;
+  }
+  symbols_.resize(intervals * (static_cast<size_t>(amax_) - 1));
+  for (size_t k = 0; k < per_alphabet.size(); ++k) {
+    uint8_t* row = symbols_.data() + k * intervals;
+    for (size_t j = 0; j < intervals; ++j) {
+      row[j] = static_cast<uint8_t>(SymbolForValue(reps[j], per_alphabet[k]));
     }
   }
 }
@@ -106,11 +111,11 @@ size_t BreakpointSummary::IntervalForValue(double value) const {
   return static_cast<size_t>(it - merged_.begin());
 }
 
-int BreakpointSummary::SymbolOfInterval(size_t interval, int a) const {
-  EGI_DCHECK(interval < num_intervals());
-  EGI_DCHECK(a >= kMinAlphabetSize && a <= amax_);
-  const size_t alphabets = static_cast<size_t>(amax_) - 1;
-  return symbols_[interval * alphabets + static_cast<size_t>(a - 2)];
+std::span<const uint8_t> BreakpointSummary::SymbolRow(int a) const {
+  EGI_CHECK(a >= kMinAlphabetSize && a <= amax_)
+      << "alphabet size " << a << " outside summary amax " << amax_;
+  return std::span<const uint8_t>(symbols_).subspan(
+      static_cast<size_t>(a - 2) * num_intervals(), num_intervals());
 }
 
 }  // namespace egi::sax

@@ -36,7 +36,9 @@ std::vector<double> GaussianRegionCentroids(int alphabet_size);
 /// then resolved for all alphabet sizes with a single binary search.
 class BreakpointSummary {
  public:
-  /// Builds the summary for alphabet sizes [2, amax]. O(amax^2 log amax).
+  /// Builds the summary for alphabet sizes [2, amax]: each alphabet's
+  /// breakpoints are computed once, then every interval is resolved against
+  /// them. O(amax^3 log amax).
   explicit BreakpointSummary(int amax);
 
   int amax() const { return amax_; }
@@ -48,11 +50,13 @@ class BreakpointSummary {
   /// Symbol of `value` under alphabet size `a` (2 <= a <= amax), resolved
   /// through the merged summary.
   int Symbol(double value, int a) const {
-    return SymbolOfInterval(IntervalForValue(value), a);
+    return SymbolRow(a)[IntervalForValue(value)];
   }
 
-  /// Symbol assigned to interval `interval` under alphabet size `a`.
-  int SymbolOfInterval(size_t interval, int a) const;
+  /// The interval -> symbol table of alphabet size `a` (2 <= a <= amax):
+  /// entry j is the symbol of every value in interval j. The encoder's word
+  /// loop resolves a symbol with one load from this row.
+  std::span<const uint8_t> SymbolRow(int a) const;
 
   /// The merged distinct breakpoints (exposed for tests).
   std::span<const double> merged_breakpoints() const { return merged_; }
@@ -60,7 +64,8 @@ class BreakpointSummary {
  private:
   int amax_;
   std::vector<double> merged_;
-  // Row-major: symbols_[interval * (amax_-1) + (a-2)] = symbol under size a.
+  // Alphabet-major: symbols_[(a-2) * num_intervals() + interval] = symbol
+  // under size a.
   std::vector<uint8_t> symbols_;
 };
 

@@ -10,6 +10,45 @@
 
 namespace egi::sax {
 
+namespace {
+
+// Appends the words of one block of consecutive positions to `out`. Row b
+// of `intervals` holds position first_pos + b's w merged-axis interval
+// indices; `symbols` is the request's alphabet row of the interval ->
+// symbol table, so each symbol is one load and the word is packed in
+// registers (one 64-bit accumulator when it fits, else WordCodec's 128-bit
+// shift). `last` carries the numerosity-reduction state across blocks.
+void AppendBlockWords(std::span<const uint32_t> intervals, size_t first_pos,
+                      std::span<const uint8_t> symbols,
+                      const WordCodec& codec, bool numerosity_reduction,
+                      WordCode& last, DiscretizedSeries& out) {
+  const auto uw = static_cast<size_t>(codec.word_length());
+  const int bits = codec.bits_per_symbol();
+  const bool narrow = codec.word_length() * bits <= 64;
+  for (size_t b = 0; b * uw < intervals.size(); ++b) {
+    const uint32_t* row = intervals.data() + b * uw;
+    WordCode code;
+    if (narrow) {
+      // Bitwise what AppendSymbol yields: the high half never fills.
+      for (size_t i = 0; i < uw; ++i) {
+        code.lo = (code.lo << bits) | symbols[row[i]];
+      }
+    } else {
+      for (size_t i = 0; i < uw; ++i) {
+        codec.AppendSymbol(code, symbols[row[i]]);
+      }
+    }
+    if (numerosity_reduction && !out.seq.tokens.empty() && code == last) {
+      continue;
+    }
+    out.seq.tokens.push_back(out.table.Intern(code));
+    out.seq.offsets.push_back(first_pos + b);
+    last = code;
+  }
+}
+
+}  // namespace
+
 MultiResSaxEncoder::MultiResSaxEncoder(std::span<const double> series,
                                        size_t window_length, int amax,
                                        double norm_threshold,
@@ -96,24 +135,14 @@ Result<std::vector<DiscretizedSeries>> MultiResSaxEncoder::EncodeAll(
                                       merged.data(), merged.size(),
                                       intervals.data());
 
-      for (size_t b = 0; b < block_count; ++b) {
-        const size_t pos = block + b;
-        const uint32_t* row = intervals.data() + b * uw;
-        for (size_t k = g; k < g_end; ++k) {
-          const size_t ri = order[k];
-          const int a = params[ri].alphabet_size;
-          const WordCodec& codec = codecs[ri];
-          WordCode code;
-          for (size_t i = 0; i < uw; ++i)
-            codec.AppendSymbol(code, summary_.SymbolOfInterval(row[i], a));
-          if (numerosity_reduction_ && !results[ri].seq.tokens.empty() &&
-              code == last_codes[ri]) {
-            continue;
-          }
-          results[ri].seq.tokens.push_back(results[ri].table.Intern(code));
-          results[ri].seq.offsets.push_back(pos);
-          last_codes[ri] = code;
-        }
+      const std::span<const uint32_t> block_intervals(intervals.data(),
+                                                      block_count * uw);
+      for (size_t k = g; k < g_end; ++k) {
+        const size_t ri = order[k];
+        AppendBlockWords(block_intervals, block,
+                         summary_.SymbolRow(params[ri].alphabet_size),
+                         codecs[ri], numerosity_reduction_, last_codes[ri],
+                         results[ri]);
       }
     }
     g = g_end;

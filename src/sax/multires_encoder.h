@@ -36,8 +36,8 @@ class MultiResSaxEncoder {
                      double norm_threshold = ts::kDefaultNormThreshold,
                      bool numerosity_reduction = true);
 
-  /// Discretizes under a single (w, a); equivalent to DiscretizeSeries with
-  /// the same parameters (validated by tests), but reuses shared state.
+  /// Discretizes under a single (w, a), reusing the shared state. This is
+  /// DiscretizeSeries' body.
   Result<DiscretizedSeries> Encode(int paa_size, int alphabet_size) const;
 
   /// Batch-discretizes all requested combinations in one sliding-window

@@ -4,9 +4,8 @@
 #include <vector>
 
 #include "sax/breakpoints.h"
-#include "sax/fast_paa.h"
+#include "sax/multires_encoder.h"
 #include "sax/paa.h"
-#include "ts/prefix_stats.h"
 
 namespace egi::sax {
 
@@ -75,40 +74,14 @@ Result<std::string> SaxWordForSubsequence(std::span<const double> values,
 
 Result<DiscretizedSeries> DiscretizeSeries(std::span<const double> series,
                                            const SaxParams& params) {
+  // Validated before the encoder exists: its breakpoint summary aborts on an
+  // out-of-range alphabet size.
   EGI_RETURN_IF_ERROR(ValidateSeriesValues(series));
   EGI_RETURN_IF_ERROR(ValidateSaxParams(series.size(), params));
-
-  DiscretizedSeries out;
-  out.series_length = series.size();
-  out.window_length = params.window_length;
-  out.paa_size = params.paa_size;
-  out.alphabet_size = params.alphabet_size;
-
-  const ts::PrefixStats stats(series);
-  const FastPaa fast_paa(&stats, params.norm_threshold);
-  const auto bps = GaussianBreakpoints(params.alphabet_size);
-  const WordCodec codec(params.paa_size, params.alphabet_size);
-  out.table = TokenTable(codec);
-
-  const size_t positions = series.size() - params.window_length + 1;
-  std::vector<double> coeffs(static_cast<size_t>(params.paa_size));
-  WordCode last_code;
-
-  for (size_t p = 0; p < positions; ++p) {
-    fast_paa.Compute(p, params.window_length, params.paa_size, coeffs);
-    WordCode code;
-    for (size_t i = 0; i < coeffs.size(); ++i) {
-      codec.AppendSymbol(code, SymbolForValue(coeffs[i], bps));
-    }
-    if (params.numerosity_reduction && !out.seq.tokens.empty() &&
-        code == last_code) {
-      continue;
-    }
-    out.seq.tokens.push_back(out.table.Intern(code));
-    out.seq.offsets.push_back(p);
-    last_code = code;
-  }
-  return out;
+  const MultiResSaxEncoder encoder(series, params.window_length,
+                                   params.alphabet_size, params.norm_threshold,
+                                   params.numerosity_reduction);
+  return encoder.Encode(params.paa_size, params.alphabet_size);
 }
 
 }  // namespace egi::sax

@@ -48,8 +48,9 @@ Result<std::string> SaxWordForSubsequence(std::span<const double> values,
                                           double norm_threshold =
                                               ts::kDefaultNormThreshold);
 
-/// Discretizes the whole series via a sliding window (single resolution),
-/// using FastPAA internally. Produces the numerosity-reduced token sequence.
+/// Discretizes the whole series via a sliding window (single resolution):
+/// validates, then runs MultiResSaxEncoder::Encode with amax = a, so there is
+/// one word loop. Produces the numerosity-reduced token sequence.
 Result<DiscretizedSeries> DiscretizeSeries(std::span<const double> series,
                                            const SaxParams& params);
 

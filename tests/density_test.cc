@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "grammar/density.h"
 #include "grammar/grammar.h"
 #include "grammar/sequitur.h"
+#include "util/rng.h"
 
 namespace egi::grammar {
 namespace {
@@ -107,6 +111,73 @@ TEST(DensityTest, RejectsMismatchedOffsets) {
   const auto g = InduceGrammar(in);
   const std::vector<size_t> offsets{0, 1};  // wrong size
   EXPECT_DEATH(BuildRuleDensityCurve(g, offsets, 4, 1), "offsets");
+}
+
+TEST(DensityTest, BuilderPathMatchesBuiltGrammarBitwise) {
+  // The builder-path curve (read from the live grammar, no Build()) must
+  // equal BuildRuleDensityCurve(Build()) bit for bit, and its walk must
+  // report Build()'s rule count and description length. One warm builder
+  // serves every case, so stale arena slots of earlier runs are present.
+  Rng rng(31);
+  std::vector<std::pair<std::string, std::vector<int32_t>>> inputs;
+  inputs.push_back({"table2", {0, 1, 2, 3, 4, 0, 1, 2}});
+  inputs.push_back({"empty", {}});
+  for (const size_t n : {50u, 600u, 3000u}) {
+    std::vector<int32_t> random(n);
+    for (auto& t : random) t = static_cast<int32_t>(rng.UniformInt(0, 7));
+    inputs.push_back({"random" + std::to_string(n), random});
+    // Highly repetitive: a short motif with rare substitutions, which
+    // builds deep rule hierarchies with many nested occurrences.
+    std::vector<int32_t> repetitive(n);
+    for (size_t i = 0; i < n; ++i) {
+      repetitive[i] = rng.UniformInt(0, 49) == 0
+                          ? 9
+                          : static_cast<int32_t>(i % 5);
+    }
+    inputs.push_back({"repetitive" + std::to_string(n), repetitive});
+  }
+
+  SequiturBuilder builder;
+  for (const auto& [name, tokens] : inputs) {
+    // Sparse, strictly increasing offsets stand in for numerosity reduction.
+    std::vector<size_t> offsets(tokens.size());
+    size_t at = 0;
+    for (auto& o : offsets) {
+      o = at;
+      at += 1 + static_cast<size_t>(rng.UniformInt(0, 3));
+    }
+    builder.Reset();
+    builder.AppendAll(tokens);
+    const Grammar g = builder.Build();
+    for (const size_t window : {1u, 7u}) {
+      const size_t series_length = at + window;
+      for (const bool corrected : {false, true}) {
+        SCOPED_TRACE(name + " window " + std::to_string(window) +
+                     (corrected ? " corrected" : " raw"));
+        const auto want =
+            BuildRuleDensityCurve(g, offsets, series_length, window, corrected);
+        GrammarSize size;
+        const auto got = BuildRuleDensityCurve(builder, offsets, series_length,
+                                               window, corrected, &size);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t t = 0; t < got.size(); ++t) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(got[t]),
+                    std::bit_cast<uint64_t>(want[t]))
+              << "t=" << t;
+        }
+        EXPECT_EQ(size.num_rules, g.rules.size());
+        EXPECT_EQ(size.symbols, g.TotalRhsSymbols());
+      }
+    }
+  }
+}
+
+TEST(DensityTest, BuilderPathRejectsMismatchedOffsets) {
+  SequiturBuilder builder;
+  builder.AppendAll(std::vector<int32_t>{0, 1, 0, 1});
+  const std::vector<size_t> offsets{0, 1};  // wrong size
+  EXPECT_DEATH(BuildRuleDensityCurve(builder, offsets, 4, 1, false),
+               "offsets");
 }
 
 }  // namespace

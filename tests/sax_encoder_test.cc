@@ -1,17 +1,71 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "sax/breakpoints.h"
+#include "sax/fast_paa.h"
 #include "sax/multires_encoder.h"
 #include "sax/numerosity.h"
 #include "sax/sax_encoder.h"
 #include "sax/token_table.h"
+#include "ts/prefix_stats.h"
 #include "util/rng.h"
 
 namespace egi::sax {
 namespace {
+
+// The per-position reference the encoder's table-driven word loop must
+// reproduce bit for bit: FastPAA for one window at a time, a binary search
+// in the alphabet's own breakpoints per coefficient, and interning in
+// position order.
+DiscretizedSeries ReferenceDiscretize(std::span<const double> series,
+                                      const SaxParams& params) {
+  DiscretizedSeries out;
+  out.series_length = series.size();
+  out.window_length = params.window_length;
+  out.paa_size = params.paa_size;
+  out.alphabet_size = params.alphabet_size;
+
+  const ts::PrefixStats stats(series);
+  const FastPaa fast_paa(&stats, params.norm_threshold);
+  const auto bps = GaussianBreakpoints(params.alphabet_size);
+  const WordCodec codec(params.paa_size, params.alphabet_size);
+  out.table = TokenTable(codec);
+
+  const size_t positions = series.size() - params.window_length + 1;
+  std::vector<double> coeffs(static_cast<size_t>(params.paa_size));
+  WordCode last_code;
+  for (size_t p = 0; p < positions; ++p) {
+    fast_paa.Compute(p, params.window_length, params.paa_size, coeffs);
+    WordCode code;
+    for (size_t i = 0; i < coeffs.size(); ++i) {
+      codec.AppendSymbol(code, SymbolForValue(coeffs[i], bps));
+    }
+    if (params.numerosity_reduction && !out.seq.tokens.empty() &&
+        code == last_code) {
+      continue;
+    }
+    out.seq.tokens.push_back(out.table.Intern(code));
+    out.seq.offsets.push_back(p);
+    last_code = code;
+  }
+  return out;
+}
+
+// Tokens, offsets and the table's codes in id order.
+void ExpectSameDiscretization(const DiscretizedSeries& got,
+                              const DiscretizedSeries& want) {
+  EXPECT_EQ(got.seq.tokens, want.seq.tokens);
+  EXPECT_EQ(got.seq.offsets, want.seq.offsets);
+  ASSERT_EQ(got.table.size(), want.table.size());
+  for (size_t i = 0; i < got.table.size(); ++i) {
+    EXPECT_EQ(got.table.codes()[i], want.table.codes()[i]) << "code " << i;
+  }
+}
 
 // ------------------------------------------------------------ token table
 
@@ -252,21 +306,16 @@ TEST_P(MultiResEquivalenceTest, MatchesSingleResolutionEncoder) {
   p.window_length = n;
   p.paa_size = w;
   p.alphabet_size = a;
-  auto direct = DiscretizeSeries(v, p);
-  ASSERT_TRUE(direct.ok());
+  const DiscretizedSeries reference = ReferenceDiscretize(v, p);
 
   MultiResSaxEncoder encoder(v, n, /*amax=*/20);
   auto multi = encoder.Encode(w, a);
   ASSERT_TRUE(multi.ok());
+  ExpectSameDiscretization(*multi, reference);
 
-  ASSERT_EQ(multi->seq.size(), direct->seq.size());
-  EXPECT_EQ(multi->seq.offsets, direct->seq.offsets);
-  // Token ids are interned per-encoder; compare the rendered words.
-  for (size_t i = 0; i < multi->seq.size(); ++i) {
-    EXPECT_EQ(multi->table.Word(multi->seq.tokens[i]),
-              direct->table.Word(direct->seq.tokens[i]))
-        << "token " << i;
-  }
+  auto direct = DiscretizeSeries(v, p);
+  ASSERT_TRUE(direct.ok());
+  ExpectSameDiscretization(*direct, reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -289,6 +338,43 @@ TEST(MultiResEncoderTest, EncodeAllMatchesIndividualEncodes) {
     ASSERT_TRUE(single.ok());
     EXPECT_EQ((*batch)[i].seq.tokens, single->seq.tokens) << "param " << i;
     EXPECT_EQ((*batch)[i].seq.offsets, single->seq.offsets) << "param " << i;
+  }
+}
+
+TEST(MultiResEncoderTest, EncodeAllMatchesPerPositionReference) {
+  // One batch mixing widths: three alphabets share w = 5, a 64-bit word
+  // (16 x 4 bits) fills the narrow accumulator exactly, and the w = 13 and
+  // w = 20 words (65 and 100 bits) take the 128-bit path. Both numerosity
+  // settings; a flat stretch exercises the all-zero coefficient rows.
+  Rng rng(2024);
+  std::vector<double> v(700);
+  for (size_t i = 0; i < v.size(); ++i) {
+    v[i] = rng.Gaussian() + 2.0 * std::sin(static_cast<double>(i) / 9.0);
+  }
+  for (size_t i = 300; i < 380; ++i) v[i] = 4.0;
+  const size_t n = 64;
+  const std::vector<WaParam> params{{5, 2},  {16, 16}, {5, 20}, {13, 20},
+                                    {2, 3},  {5, 7},   {20, 20}};
+  for (const bool numerosity : {false, true}) {
+    SCOPED_TRACE(numerosity ? "numerosity on" : "numerosity off");
+    MultiResSaxEncoder encoder(v, n, /*amax=*/20,
+                               ts::kDefaultNormThreshold, numerosity);
+    auto batch = encoder.EncodeAll(params);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->size(), params.size());
+    for (size_t i = 0; i < params.size(); ++i) {
+      SCOPED_TRACE("param " + std::to_string(i));
+      SaxParams p;
+      p.window_length = n;
+      p.paa_size = params[i].paa_size;
+      p.alphabet_size = params[i].alphabet_size;
+      p.numerosity_reduction = numerosity;
+      const DiscretizedSeries reference = ReferenceDiscretize(v, p);
+      ExpectSameDiscretization((*batch)[i], reference);
+      if (!numerosity) {
+        EXPECT_EQ(reference.seq.size(), v.size() - n + 1);
+      }
+    }
   }
 }
 

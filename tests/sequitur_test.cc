@@ -125,6 +125,34 @@ TEST(SequiturTest, IncrementalAppendMatchesBatch) {
   }
 }
 
+TEST(SequiturTest, VisitRuleOccurrencesMatchesBuild) {
+  // Every (start, length) pair the in-place walk reports is one of Build()'s
+  // (occurrence, expansion_length) pairs, and none is missing or repeated.
+  Rng rng(5150);
+  for (int round = 0; round < 6; ++round) {
+    std::vector<int32_t> in(200 + 300 * static_cast<size_t>(round));
+    for (size_t i = 0; i < in.size(); ++i) {
+      in[i] = round % 2 == 0 ? static_cast<int32_t>(rng.UniformInt(0, 4))
+                             : static_cast<int32_t>(i % 6);
+    }
+    SequiturBuilder b;
+    b.AppendAll(in);
+    const Grammar g = b.Build();
+    std::vector<std::pair<size_t, size_t>> want;
+    for (const auto& r : g.rules) {
+      for (size_t p : r.occurrences) want.emplace_back(p, r.expansion_length);
+    }
+    std::vector<std::pair<size_t, size_t>> got;
+    const GrammarSize size = b.VisitRuleOccurrences(
+        [&](size_t start, size_t length) { got.emplace_back(start, length); });
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "round " << round;
+    EXPECT_EQ(size.num_rules, g.rules.size());
+    EXPECT_EQ(size.symbols, g.TotalRhsSymbols());
+  }
+}
+
 TEST(SequiturTest, BuildIsNonDestructive) {
   SequiturBuilder b;
   b.AppendAll(Tokens({0, 1, 0, 1}));
