@@ -25,122 +25,34 @@
 // any reject or transport error makes the exit status nonzero, so smoke
 // scripts can assert "this phase must lose nothing" with `|| exit`.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "router/shard_channel.h"
 #include "router/shard_map.h"
 #include "service/frame.h"
+#include "service/socket.h"
+#include "util/flags.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace egi::bench {
 namespace {
 
-int64_t FlagInt(int argc, char** argv, const char* name, int64_t fallback) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) == 0 &&
-        std::strncmp(arg + 2, name, len) == 0 && arg[2 + len] == '=') {
-      return std::atoll(arg + 2 + len + 1);
-    }
-  }
-  return fallback;
-}
-
-const char* FlagStr(int argc, char** argv, const char* name,
-                    const char* fallback) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) == 0 &&
-        std::strncmp(arg + 2, name, len) == 0 && arg[2 + len] == '=') {
-      return arg + 2 + len + 1;
-    }
-  }
-  return fallback;
-}
-
-int Connect(const std::string& host, int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-bool WriteAll(int fd, const uint8_t* data, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-/// Minimal HTTP/1.1 client call on a persistent connection: sends `request`
-/// and reads one Content-Length-framed response, returning the status code
-/// (or -1 on transport error).
-int HttpCall(int fd, const std::string& request, std::string* body) {
-  if (!WriteAll(fd, reinterpret_cast<const uint8_t*>(request.data()),
-                request.size())) {
-    return -1;
-  }
-  std::string buffer;
-  char chunk[8192];
-  size_t header_end = std::string::npos;
-  while (header_end == std::string::npos) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) return -1;
-    buffer.append(chunk, static_cast<size_t>(n));
-    header_end = buffer.find("\r\n\r\n");
-  }
-  int status = -1;
-  if (std::sscanf(buffer.c_str(), "HTTP/1.1 %d", &status) != 1) return -1;
-  size_t content_length = 0;
-  const size_t cl = buffer.find("Content-Length:");
-  if (cl != std::string::npos && cl < header_end) {
-    content_length = static_cast<size_t>(
-        std::strtoull(buffer.c_str() + cl + 15, nullptr, 10));
-  }
-  const size_t body_start = header_end + 4;
-  while (buffer.size() < body_start + content_length) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) return -1;
-    buffer.append(chunk, static_cast<size_t>(n));
-  }
-  if (body != nullptr) *body = buffer.substr(body_start, content_length);
-  return status;
-}
+/// Deadline of each control-plane call and of the ingest hello. Generous:
+/// it only turns a wedged server into an error instead of a hang.
+constexpr double kCallTimeoutSeconds = 60.0;
 
 struct ShardResult {
   uint64_t frames = 0;
@@ -150,40 +62,23 @@ struct ShardResult {
   bool transport_error = false;
 };
 
-/// Version handshake: one hello frame, one helloack back. Anything else
-/// (a typed reject, a version skew, a short read) is a transport error —
-/// the connection is useless for data.
-bool Handshake(int fd) {
-  std::vector<uint8_t> out;
-  service::EncodeHelloFrame(service::kProtocolVersion, &out);
-  if (!WriteAll(fd, out.data(), out.size())) return false;
-  std::vector<uint8_t> in;
-  uint8_t chunk[256];
-  while (true) {
-    service::IngestResponse resp;
-    size_t consumed = 0;
-    const service::FrameParseResult parsed = service::DecodeResponseFrame(
-        std::span<const uint8_t>(in), &resp, &consumed);
-    if (parsed == service::FrameParseResult::kMalformed) return false;
-    if (parsed == service::FrameParseResult::kComplete) {
-      return resp.type == service::FrameType::kHelloAck &&
-             resp.protocol_version == service::kProtocolVersion;
-    }
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) return false;
-    in.insert(in.end(), chunk, chunk + n);
-  }
-}
-
 /// One connection thread: `rounds` passes over [first, first+count) stream
 /// ids, each pass pipelining one frame per stream then draining the acks.
-void RunShard(const std::string& host, int ingest_port, size_t first,
+void RunShard(const router::ShardEndpoint& target, size_t first,
               size_t count, int rounds, int batch, uint64_t seed,
               ShardResult* result) {
-  const int fd = Connect(host, ingest_port);
-  if (fd < 0 || !Handshake(fd)) {
+  auto dialed = service::Dial(target.host, target.ingest_port);
+  if (!dialed.ok()) {
     result->transport_error = true;
-    if (fd >= 0) ::close(fd);
+    return;
+  }
+  const int fd = *dialed;
+  std::string hello_reply;
+  if (!service::Hello(fd, &hello_reply,
+                      service::DeadlineIn(kCallTimeoutSeconds))
+           .ok()) {
+    result->transport_error = true;
+    ::close(fd);
     return;
   }
   Rng rng(seed);
@@ -204,7 +99,7 @@ void RunShard(const std::string& host, int ingest_port, size_t first,
       out.clear();
       service::EncodeIngestFrame(first + s, values, &out);
       sent.push_back(std::chrono::steady_clock::now());
-      if (!WriteAll(fd, out.data(), out.size())) {
+      if (!service::WriteAll(fd, out.data(), out.size()).ok()) {
         result->transport_error = true;
         ::close(fd);
         return;
@@ -259,19 +154,16 @@ double Percentile(std::vector<double>* values, double q) {
 int Run(int argc, char** argv) {
   const bool json = JsonOutputEnabled(argc, argv);
   const bool quick = SettingsFromEnv().quick;
-  const int http_port =
-      static_cast<int>(FlagInt(argc, argv, "http-port", 0));
-  const int ingest_port =
-      static_cast<int>(FlagInt(argc, argv, "ingest-port", 0));
-  const char* targets_flag = FlagStr(argc, argv, "targets", nullptr);
-  const std::string record_name =
-      FlagStr(argc, argv, "name", "service_loadgen");
-  const size_t streams = static_cast<size_t>(
-      FlagInt(argc, argv, "streams", quick ? 1000 : 10000));
-  size_t conns = static_cast<size_t>(FlagInt(argc, argv, "conns", 8));
-  const int batch = static_cast<int>(FlagInt(argc, argv, "batch", 20));
-  const int rounds =
-      static_cast<int>(FlagInt(argc, argv, "rounds", quick ? 5 : 10));
+  const Flags flags(argc, argv);
+  const int http_port = static_cast<int>(flags.Int("http-port", 0));
+  const int ingest_port = static_cast<int>(flags.Int("ingest-port", 0));
+  const char* targets_flag = flags.Find("targets");
+  const std::string record_name = flags.Str("name", "service_loadgen");
+  const size_t streams =
+      static_cast<size_t>(flags.Int("streams", quick ? 1000 : 10000));
+  size_t conns = static_cast<size_t>(flags.Int("conns", 8));
+  const int batch = static_cast<int>(flags.Int("batch", 20));
+  const int rounds = static_cast<int>(flags.Int("rounds", quick ? 5 : 10));
 
   // One router (or daemon) via --targets, or the classic localhost port
   // pair; either way the load below only sees a target list.
@@ -302,53 +194,39 @@ int Run(int argc, char** argv) {
   conns = std::max(conns, num_targets);  // every target gets >= 1 conn
 
   // Control plane: create each target's share of the streams up front on
-  // one keep-alive connection per target (server ids are dense, so the
-  // first id plus the count describes the whole share).
+  // one keep-alive channel per target (server ids are dense, so the first
+  // id plus the count describes the whole share).
   struct TargetShare {
-    size_t begin = 0;        // global stream index of the share
+    size_t begin = 0;          // global stream index of the share
     size_t count = 0;
-    size_t first_stream = 0; // the server's id for the share's first stream
+    uint64_t first_stream = 0; // the server's id for the share's first stream
   };
   std::vector<TargetShare> shares(num_targets);
+  const router::ChannelFactory dial =
+      router::TcpChannelFactory(kCallTimeoutSeconds);
   const auto started_setup = std::chrono::steady_clock::now();
   for (size_t t = 0; t < num_targets; ++t) {
     TargetShare& share = shares[t];
     share.begin = streams * t / num_targets;
     share.count = streams * (t + 1) / num_targets - share.begin;
-    const int http_fd = Connect(targets[t].host, targets[t].http_port);
-    if (http_fd < 0) {
-      std::fprintf(stderr, "loadgen: cannot connect to %s:%d\n",
-                   targets[t].host.c_str(), targets[t].http_port);
-      return 1;
-    }
+    const std::unique_ptr<router::ShardChannel> channel = dial(targets[t]);
     for (size_t s = 0; s < share.count; ++s) {
       const std::string body = "{\"tenant\":\"loadgen\",\"name\":\"s" +
                                std::to_string(share.begin + s) + "\"}";
-      const std::string request =
-          "POST /v1/streams HTTP/1.1\r\nHost: localhost\r\n"
-          "Content-Type: application/json\r\nContent-Length: " +
-          std::to_string(body.size()) + "\r\n\r\n" + body;
-      std::string response;
-      const int status = HttpCall(http_fd, request, &response);
-      if (status != 201) {
-        std::fprintf(stderr,
-                     "loadgen: stream create %zu on %s:%d failed "
-                     "(HTTP %d): %s\n",
+      const auto reply =
+          channel->Http("POST", "/v1/streams", body, "application/json");
+      if (!reply.ok() || reply->status != 201) {
+        const std::string why =
+            reply.ok() ? " (HTTP " + std::to_string(reply->status) +
+                             "): " + reply->body
+                       : ": " + reply.status().ToString();
+        std::fprintf(stderr, "loadgen: stream create %zu on %s:%d failed%s\n",
                      share.begin + s, targets[t].host.c_str(),
-                     targets[t].http_port, status, response.c_str());
-        ::close(http_fd);
+                     targets[t].http_port, why.c_str());
         return 1;
       }
-      if (s == 0) {
-        const size_t pos = response.find("\"stream\":");
-        share.first_stream =
-            pos == std::string::npos
-                ? 0
-                : static_cast<size_t>(std::strtoull(
-                      response.c_str() + pos + 9, nullptr, 10));
-      }
+      if (s == 0) JsonFindUInt(reply->body, "stream", &share.first_stream);
     }
-    ::close(http_fd);
   }
   const double setup_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -368,8 +246,7 @@ int Run(int argc, char** argv) {
     for (size_t c = 0; c < target_conns; ++c) {
       const size_t begin = shares[t].count * c / target_conns;
       const size_t end = shares[t].count * (c + 1) / target_conns;
-      threads.emplace_back(RunShard, targets[t].host,
-                           targets[t].ingest_port,
+      threads.emplace_back(RunShard, std::cref(targets[t]),
                            shares[t].first_stream + begin, end - begin,
                            rounds, batch, 7000 + conn_index,
                            &results[conn_index]);

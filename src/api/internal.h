@@ -47,8 +47,9 @@ class OptionValues {
 };
 
 /// One registry entry: the public info plus the construction hooks the
-/// façade drives. `score` and `ensemble` are null for methods without the
-/// capability (info.supports_score / supports_streaming mirror this).
+/// façade drives. `ensemble` is null for methods that cannot stream
+/// (info.supports_streaming mirrors this); info.supports_score mirrors
+/// whether the built detector implements Score.
 struct DetectorEntry {
   DetectorInfo info;
 
@@ -57,12 +58,6 @@ struct DetectorEntry {
 
   /// Builds the configured batch detector.
   std::unique_ptr<core::AnomalyDetector> (*make)(const OptionValues& v);
-
-  /// Point-wise anomaly curve for the series — bitwise-identical to the
-  /// curve the detector's Detect ranks candidates from.
-  Result<std::vector<double>> (*score)(const OptionValues& v,
-                                       std::span<const double> series,
-                                       size_t window_length);
 
   /// Algorithm 1 parameters for streaming (window_length left 0 for the
   /// stream options to fill in).

@@ -1,12 +1,10 @@
 #include "api/internal.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <limits>
 #include <string>
 
-#include "core/gi.h"
 #include "exec/parallel.h"
 #include "sax/breakpoints.h"
 #include "sax/word_code.h"
@@ -225,19 +223,6 @@ std::unique_ptr<core::AnomalyDetector> MakeEnsemble(const OptionValues& v) {
   return std::make_unique<core::EnsembleGiDetector>(EnsembleParamsOf(v));
 }
 
-Result<std::vector<double>> ScoreEnsemble(const OptionValues& v,
-                                          std::span<const double> series,
-                                          size_t window_length) {
-  // Mirrors EnsembleGiDetector::Detect so the curve is bitwise-identical to
-  // the one candidates are ranked from (enforced by tests/api_facade_test).
-  core::EnsembleParams p = EnsembleParamsOf(v);
-  p.window_length = window_length;
-  p.wmax = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(p.wmax), window_length));
-  EGI_ASSIGN_OR_RETURN(auto result, core::ComputeEnsembleDensity(series, p));
-  return std::move(result.density);
-}
-
 // ---------------------------------------------------------------- gi-random
 
 Status ValidateGiRandom(const OptionValues& v) {
@@ -274,17 +259,6 @@ std::unique_ptr<core::AnomalyDetector> MakeGiFix(const OptionValues& v) {
       static_cast<int>(v.GetInt("w")), static_cast<int>(v.GetInt("a")));
 }
 
-Result<std::vector<double>> ScoreGiFix(const OptionValues& v,
-                                       std::span<const double> series,
-                                       size_t window_length) {
-  core::GiParams p;
-  p.window_length = window_length;
-  p.paa_size = static_cast<int>(v.GetInt("w"));
-  p.alphabet_size = static_cast<int>(v.GetInt("a"));
-  EGI_ASSIGN_OR_RETURN(auto run, core::RunGrammarInduction(series, p));
-  return std::move(run.density);
-}
-
 // ---------------------------------------------------------------- gi-select
 
 Status ValidateGiSelect(const OptionValues& v) {
@@ -310,18 +284,6 @@ std::unique_ptr<core::AnomalyDetector> MakeGiSelect(const OptionValues& v) {
       v.GetDouble("train"));
 }
 
-Result<std::vector<double>> ScoreGiSelect(const OptionValues& v,
-                                          std::span<const double> series,
-                                          size_t window_length) {
-  core::SelectGiDetector detector(static_cast<int>(v.GetInt("wmax")),
-                                  static_cast<int>(v.GetInt("amax")),
-                                  v.GetDouble("train"));
-  EGI_ASSIGN_OR_RETURN(auto params,
-                       detector.SelectParams(series, window_length));
-  EGI_ASSIGN_OR_RETURN(auto run, core::RunGrammarInduction(series, params));
-  return std::move(run.density);
-}
-
 // ------------------------------------------------------------------ discord
 
 Status ValidateDiscord(const OptionValues& v) { return CheckThreads(v); }
@@ -339,19 +301,19 @@ const DetectorEntry kEntries[] = {
     {{"ensemble",
       "ensemble grammar induction, the paper's Algorithm 1 (Proposed)",
       kEnsembleOptions, /*supports_streaming=*/true, /*supports_score=*/true},
-     ValidateEnsemble, MakeEnsemble, ScoreEnsemble, EnsembleParamsOf},
+     ValidateEnsemble, MakeEnsemble, EnsembleParamsOf},
     {{"gi-random", "single GI run, random (w, a) per call", kGiRandomOptions,
       false, false},
-     ValidateGiRandom, MakeGiRandom, nullptr, nullptr},
+     ValidateGiRandom, MakeGiRandom, nullptr},
     {{"gi-fix", "single GI run with fixed (w, a)", kGiFixOptions, false,
       true},
-     ValidateGiFix, MakeGiFix, ScoreGiFix, nullptr},
+     ValidateGiFix, MakeGiFix, nullptr},
     {{"gi-select", "single GI run, (w, a) from MDL grid search on a prefix",
       kGiSelectOptions, false, true},
-     ValidateGiSelect, MakeGiSelect, ScoreGiSelect, nullptr},
+     ValidateGiSelect, MakeGiSelect, nullptr},
     {{"discord", "STOMP matrix-profile discords (distance baseline)",
       kDiscordOptions, false, false},
-     ValidateDiscord, MakeDiscord, nullptr, nullptr},
+     ValidateDiscord, MakeDiscord, nullptr},
 };
 
 }  // namespace

@@ -287,12 +287,12 @@ Result<std::vector<double>> Session::Score(std::span<const double> series,
   static auto* hist = Telemetry().GetHistogram("session.score_seconds");
   calls->Add(1);
   telemetry::ScopedTimer timer(hist);
-  if (impl_->entry->score == nullptr) {
+  if (!impl_->entry->info.supports_score) {
     return Status::FailedPrecondition(
         "method '" + std::string(method()) +
         "' has no point-wise score curve (see DetectorInfo::supports_score)");
   }
-  return impl_->entry->score(impl_->values, series, window_length);
+  return impl_->detector->Score(series, window_length);
 }
 
 namespace {

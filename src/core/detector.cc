@@ -13,33 +13,33 @@
 
 namespace egi::core {
 
-namespace {
-
-// Shared tail: density curve -> ranked candidates.
-std::vector<Anomaly> CandidatesFromDensity(const std::vector<double>& density,
-                                           size_t window_length,
-                                           size_t max_candidates) {
+Result<std::vector<Anomaly>> AnomalyDetector::Detect(
+    std::span<const double> series, size_t window_length,
+    size_t max_candidates) {
+  EGI_ASSIGN_OR_RETURN(const auto density, Score(series, window_length));
   return FindDensityAnomalies(density, window_length, max_candidates);
 }
 
-}  // namespace
+Result<std::vector<double>> AnomalyDetector::Score(std::span<const double>,
+                                                   size_t) {
+  return Status::FailedPrecondition(std::string(name()) +
+                                    " has no point-wise score curve");
+}
 
 // ---------------------------------------------------------------- Ensemble
 
 EnsembleGiDetector::EnsembleGiDetector(EnsembleParams params)
     : params_(params) {}
 
-Result<std::vector<Anomaly>> EnsembleGiDetector::Detect(
-    std::span<const double> series, size_t window_length,
-    size_t max_candidates) {
+Result<std::vector<double>> EnsembleGiDetector::Score(
+    std::span<const double> series, size_t window_length) {
   EnsembleParams p = params_;
   p.window_length = window_length;
   // wmax cannot exceed the window (PAA size is bounded by it).
   p.wmax = static_cast<int>(
       std::min<size_t>(static_cast<size_t>(p.wmax), window_length));
   EGI_ASSIGN_OR_RETURN(last_result_, ComputeEnsembleDensity(series, p));
-  return CandidatesFromDensity(last_result_.density, window_length,
-                               max_candidates);
+  return last_result_.density;
 }
 
 // ------------------------------------------------------------------ GI-Fix
@@ -50,16 +50,15 @@ FixedGiDetector::FixedGiDetector(int paa_size, int alphabet_size,
       alphabet_size_(alphabet_size),
       numerosity_reduction_(numerosity_reduction) {}
 
-Result<std::vector<Anomaly>> FixedGiDetector::Detect(
-    std::span<const double> series, size_t window_length,
-    size_t max_candidates) {
+Result<std::vector<double>> FixedGiDetector::Score(
+    std::span<const double> series, size_t window_length) {
   GiParams p;
   p.window_length = window_length;
   p.paa_size = paa_size_;
   p.alphabet_size = alphabet_size_;
   p.numerosity_reduction = numerosity_reduction_;
   EGI_ASSIGN_OR_RETURN(auto run, RunGrammarInduction(series, p));
-  return CandidatesFromDensity(run.density, window_length, max_candidates);
+  return std::move(run.density);
 }
 
 // --------------------------------------------------------------- GI-Random
@@ -83,7 +82,7 @@ Result<std::vector<Anomaly>> RandomGiDetector::Detect(
   p.paa_size = last_w_;
   p.alphabet_size = last_a_;
   EGI_ASSIGN_OR_RETURN(auto run, RunGrammarInduction(series, p));
-  return CandidatesFromDensity(run.density, window_length, max_candidates);
+  return FindDensityAnomalies(run.density, window_length, max_candidates);
 }
 
 // --------------------------------------------------------------- GI-Select
@@ -195,14 +194,13 @@ Result<GiParams> SelectGiDetector::SelectParams(std::span<const double> series,
   return best;
 }
 
-Result<std::vector<Anomaly>> SelectGiDetector::Detect(
-    std::span<const double> series, size_t window_length,
-    size_t max_candidates) {
+Result<std::vector<double>> SelectGiDetector::Score(
+    std::span<const double> series, size_t window_length) {
   EGI_ASSIGN_OR_RETURN(auto params, SelectParams(series, window_length));
   last_w_ = params.paa_size;
   last_a_ = params.alphabet_size;
   EGI_ASSIGN_OR_RETURN(auto run, RunGrammarInduction(series, params));
-  return CandidatesFromDensity(run.density, window_length, max_candidates);
+  return std::move(run.density);
 }
 
 // ----------------------------------------------------------------- Discord

@@ -23,9 +23,16 @@ class AnomalyDetector {
 
   virtual std::string_view name() const = 0;
 
+  /// The default ranks the density anomalies of Score's curve.
   virtual Result<std::vector<Anomaly>> Detect(std::span<const double> series,
                                               size_t window_length,
-                                              size_t max_candidates) = 0;
+                                              size_t max_candidates);
+
+  /// Point-wise anomaly curve, one value per series point, that Detect
+  /// ranks candidates from. FailedPrecondition for detectors that rank
+  /// something else (the default).
+  virtual Result<std::vector<double>> Score(std::span<const double> series,
+                                            size_t window_length);
 };
 
 /// The paper's proposed method: ensemble grammar induction (Algorithm 1).
@@ -35,11 +42,11 @@ class EnsembleGiDetector : public AnomalyDetector {
   explicit EnsembleGiDetector(EnsembleParams params = EnsembleParams{});
 
   std::string_view name() const override { return "EnsembleGI"; }
-  Result<std::vector<Anomaly>> Detect(std::span<const double> series,
-                                      size_t window_length,
-                                      size_t max_candidates) override;
+  Result<std::vector<double>> Score(std::span<const double> series,
+                                    size_t window_length) override;
 
-  /// Full ensemble output of the last Detect() call (for inspection).
+  /// Full ensemble output of the last Detect() or Score() call (for
+  /// inspection).
   const EnsembleResult& last_result() const { return last_result_; }
 
  private:
@@ -55,9 +62,8 @@ class FixedGiDetector : public AnomalyDetector {
                   bool numerosity_reduction = true);
 
   std::string_view name() const override { return "GI-Fix"; }
-  Result<std::vector<Anomaly>> Detect(std::span<const double> series,
-                                      size_t window_length,
-                                      size_t max_candidates) override;
+  Result<std::vector<double>> Score(std::span<const double> series,
+                                    size_t window_length) override;
 
  private:
   int paa_size_;
@@ -99,9 +105,8 @@ class SelectGiDetector : public AnomalyDetector {
   SelectGiDetector(int wmax = 10, int amax = 10, double train_fraction = 0.1);
 
   std::string_view name() const override { return "GI-Select"; }
-  Result<std::vector<Anomaly>> Detect(std::span<const double> series,
-                                      size_t window_length,
-                                      size_t max_candidates) override;
+  Result<std::vector<double>> Score(std::span<const double> series,
+                                    size_t window_length) override;
 
   /// Runs only the parameter selection; exposed for tests.
   Result<GiParams> SelectParams(std::span<const double> series,

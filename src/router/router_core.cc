@@ -156,6 +156,15 @@ struct RouterCore::Impl {
                               std::string_view target, std::string_view body,
                               std::string_view content_type =
                                   "application/json");
+  /// Sends `method path` to every active shard, in map order, and renders
+  /// one comma-joined JSON section per shard:
+  /// `{"shard":i,"endpoint":e,"status":code,<body_key>:body}` with the
+  /// body null unless the shard answered 200, or
+  /// `{"shard":i,"endpoint":e,"status":0,"error":message}` when it could
+  /// not be reached. An empty `body_key` leaves out the endpoint and the
+  /// body. `*all_ok` (when non-null) tells whether every shard answered 200.
+  std::string FanOut(std::string_view method, std::string_view path,
+                     std::string_view body_key, bool* all_ok = nullptr);
   void MarkDown(Backend& b);
   void MarkUp(Backend& b);
   void ProbeOne(Backend& b);
@@ -263,6 +272,38 @@ Result<HttpReply> RouterCore::Impl::ShardHttp(size_t backend_index,
   Release(b, std::move(channel));
   MarkUp(b);
   return reply;
+}
+
+std::string RouterCore::Impl::FanOut(std::string_view method,
+                                     std::string_view path,
+                                     std::string_view body_key,
+                                     bool* all_ok) {
+  std::string sections;
+  bool ok = true;
+  for (const size_t index : ActiveSnapshot()) {
+    auto reply = ShardHttp(index, method, path, "");
+    if (!sections.empty()) sections += ',';
+    sections += "{\"shard\":" + std::to_string(index);
+    if (!body_key.empty()) {
+      sections += ",\"endpoint\":" +
+                  JsonQuote(EndpointToString(BackendAt(index)->endpoint));
+    }
+    if (!reply.ok()) {
+      ok = false;
+      sections += ",\"status\":0,\"error\":" +
+                  JsonQuote(reply.status().message());
+    } else {
+      ok = ok && reply->status == 200;
+      sections += ",\"status\":" + std::to_string(reply->status);
+      if (!body_key.empty()) {
+        sections += ",\"" + std::string(body_key) + "\":" +
+                    (reply->status == 200 ? reply->body : "null");
+      }
+    }
+    sections += '}';
+  }
+  if (all_ok != nullptr) *all_ok = ok;
+  return sections;
 }
 
 void RouterCore::Impl::ProbeOne(Backend& b) {
@@ -831,27 +872,8 @@ std::string RouterCore::Handle(const HttpRequest& request) {
     if (request.method != "GET") return RenderHttpError(405, "use GET");
     std::string body = "{\"router\":" + Session::MetricsJson() +
                        ",\"shards\":[";
-    bool first = true;
-    for (const size_t index : impl_->ActiveSnapshot()) {
-      auto reply = impl_->ShardHttp(index, "GET", "/metrics", "");
-      if (!first) body += ',';
-      first = false;
-      body += "{\"shard\":" + std::to_string(index) + ",\"endpoint\":" +
-              JsonQuote(EndpointToString(
-                  impl_->BackendAt(index)->endpoint));
-      if (reply.ok() && reply->status == 200) {
-        body += ",\"status\":200,\"metrics\":" + reply->body;
-      } else if (reply.ok()) {
-        body += ",\"status\":" + std::to_string(reply->status) +
-                ",\"metrics\":null";
-      } else {
-        body += ",\"status\":0,\"error\":" +
-                JsonQuote(reply.status().message());
-      }
-      body += '}';
-    }
-    body += "]}";
-    return RenderHttpResponse(200, body);
+    body += impl_->FanOut("GET", "/metrics", "metrics");
+    return RenderHttpResponse(200, body + "]}");
   }
   if (request.path == "/v1/streams") {
     if (request.method == "POST") {
@@ -873,27 +895,8 @@ std::string RouterCore::Handle(const HttpRequest& request) {
       std::string body = "{\"map_version\":" + std::to_string(map_version()) +
                          ",\"streams\":" + std::to_string(num_streams()) +
                          ",\"shards\":[";
-      bool first = true;
-      for (const size_t index : impl_->ActiveSnapshot()) {
-        auto reply = impl_->ShardHttp(index, "GET", "/v1/streams", "");
-        if (!first) body += ',';
-        first = false;
-        body += "{\"shard\":" + std::to_string(index) + ",\"endpoint\":" +
-                JsonQuote(EndpointToString(
-                    impl_->BackendAt(index)->endpoint));
-        if (reply.ok() && reply->status == 200) {
-          body += ",\"status\":200,\"body\":" + reply->body;
-        } else if (reply.ok()) {
-          body += ",\"status\":" + std::to_string(reply->status) +
-                  ",\"body\":null";
-        } else {
-          body += ",\"status\":0,\"error\":" +
-                  JsonQuote(reply.status().message());
-        }
-        body += '}';
-      }
-      body += "]}";
-      return RenderHttpResponse(200, body);
+      body += impl_->FanOut("GET", "/v1/streams", "body");
+      return RenderHttpResponse(200, body + "]}");
     }
     return RenderHttpError(405, "use GET or POST");
   }
@@ -943,21 +946,9 @@ std::string RouterCore::Handle(const HttpRequest& request) {
   }
   if (request.path == "/v1/flush" || request.path == "/v1/checkpoint") {
     if (request.method != "POST") return RenderHttpError(405, "use POST");
-    std::string sections;
     bool all_ok = true;
-    for (const size_t index : impl_->ActiveSnapshot()) {
-      auto reply = impl_->ShardHttp(index, "POST", request.path, "");
-      if (!sections.empty()) sections += ',';
-      sections += "{\"shard\":" + std::to_string(index) + ",\"status\":";
-      if (reply.ok()) {
-        sections += std::to_string(reply->status);
-        if (reply->status != 200) all_ok = false;
-      } else {
-        sections += "0,\"error\":" + JsonQuote(reply.status().message());
-        all_ok = false;
-      }
-      sections += '}';
-    }
+    const std::string sections =
+        impl_->FanOut("POST", request.path, "", &all_ok);
     const std::string verb =
         request.path == "/v1/flush" ? "flushed" : "checkpointed";
     return RenderHttpResponse(all_ok ? 200 : 500,

@@ -44,9 +44,8 @@ std::string_view ReasonPhrase(int status) {
   }
 }
 
-}  // namespace
-
-std::string_view HttpRequest::Header(std::string_view name) const {
+std::string_view FindHeader(const HttpHeaders& headers,
+                            std::string_view name) {
   const std::string lowered = ToLower(name);
   for (const auto& [key, value] : headers) {
     if (key == lowered) return value;
@@ -54,12 +53,73 @@ std::string_view HttpRequest::Header(std::string_view name) const {
   return {};
 }
 
-std::string_view HttpResponse::Header(std::string_view name) const {
-  const std::string lowered = ToLower(name);
-  for (const auto& [key, value] : headers) {
-    if (key == lowered) return value;
+/// The part of parsing both message kinds share: finds the header block,
+/// hands its start line to `parse_start_line` (false = malformed), then
+/// reads the header lines and the Content-Length-framed body into `out`.
+/// `length_required`: a message without Content-Length is malformed
+/// (responses; a request without one has an empty body).
+template <typename Message, typename StartLine>
+HttpParseResult ParseHttpMessage(std::string_view buffer, bool length_required,
+                                 StartLine parse_start_line, Message* out,
+                                 size_t* consumed) {
+  const size_t header_end = buffer.find("\r\n\r\n");
+  if (header_end == std::string_view::npos) {
+    return buffer.size() > kMaxHttpHeaderBytes ? HttpParseResult::kMalformed
+                                               : HttpParseResult::kNeedMore;
   }
-  return {};
+  if (header_end > kMaxHttpHeaderBytes) return HttpParseResult::kMalformed;
+
+  const std::string_view head = buffer.substr(0, header_end);
+  const size_t line_end = head.find("\r\n");
+  Message message;
+  if (!parse_start_line(head.substr(0, line_end), &message)) {
+    return HttpParseResult::kMalformed;
+  }
+
+  std::string_view rest =
+      line_end == std::string_view::npos ? std::string_view{}
+                                         : head.substr(line_end + 2);
+  while (!rest.empty()) {
+    const size_t eol = rest.find("\r\n");
+    const std::string_view line = rest.substr(0, eol);
+    rest = eol == std::string_view::npos ? std::string_view{}
+                                         : rest.substr(eol + 2);
+    const size_t colon = line.find(':');
+    if (colon == std::string_view::npos) return HttpParseResult::kMalformed;
+    message.headers.emplace_back(ToLower(Trim(line.substr(0, colon))),
+                                 std::string(Trim(line.substr(colon + 1))));
+  }
+
+  size_t content_length = 0;
+  if (const std::string_view cl = FindHeader(message.headers, "content-length");
+      !cl.empty()) {
+    const std::string value(cl);
+    char* end = nullptr;
+    const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
+    if (end == value.c_str() || *end != '\0' || parsed > kMaxHttpBodyBytes) {
+      return HttpParseResult::kMalformed;
+    }
+    content_length = static_cast<size_t>(parsed);
+  } else if (length_required) {
+    return HttpParseResult::kMalformed;
+  }
+
+  const size_t total = header_end + 4 + content_length;
+  if (buffer.size() < total) return HttpParseResult::kNeedMore;
+  message.body = std::string(buffer.substr(header_end + 4, content_length));
+  *out = std::move(message);
+  *consumed = total;
+  return HttpParseResult::kComplete;
+}
+
+}  // namespace
+
+std::string_view HttpRequest::Header(std::string_view name) const {
+  return FindHeader(headers, name);
+}
+
+std::string_view HttpResponse::Header(std::string_view name) const {
+  return FindHeader(headers, name);
 }
 
 long HttpRequest::QueryInt(std::string_view key, long fallback) const {
@@ -84,143 +144,47 @@ long HttpRequest::QueryInt(std::string_view key, long fallback) const {
 
 HttpParseResult ParseHttpRequest(std::string_view buffer, HttpRequest* out,
                                  size_t* consumed) {
-  const size_t header_end = buffer.find("\r\n\r\n");
-  if (header_end == std::string_view::npos) {
-    return buffer.size() > kMaxHttpHeaderBytes ? HttpParseResult::kMalformed
-                                               : HttpParseResult::kNeedMore;
-  }
-  if (header_end > kMaxHttpHeaderBytes) return HttpParseResult::kMalformed;
-
-  const std::string_view head = buffer.substr(0, header_end);
-  const size_t line_end = head.find("\r\n");
-  const std::string_view request_line =
-      line_end == std::string_view::npos ? head : head.substr(0, line_end);
-
   // "METHOD SP target SP HTTP/1.x"
-  const size_t sp1 = request_line.find(' ');
-  const size_t sp2 =
-      sp1 == std::string_view::npos ? sp1 : request_line.find(' ', sp1 + 1);
-  if (sp1 == std::string_view::npos || sp2 == std::string_view::npos) {
-    return HttpParseResult::kMalformed;
-  }
-  const std::string_view version = request_line.substr(sp2 + 1);
-  if (version.substr(0, 5) != "HTTP/") return HttpParseResult::kMalformed;
-
-  HttpRequest req;
-  req.method = std::string(request_line.substr(0, sp1));
-  std::string_view target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-  if (target.empty() || target[0] != '/') return HttpParseResult::kMalformed;
-  const size_t qmark = target.find('?');
-  if (qmark == std::string_view::npos) {
-    req.path = std::string(target);
-  } else {
-    req.path = std::string(target.substr(0, qmark));
-    req.query = std::string(target.substr(qmark + 1));
-  }
-
-  // Header lines.
-  std::string_view rest =
-      line_end == std::string_view::npos ? std::string_view{}
-                                         : head.substr(line_end + 2);
-  while (!rest.empty()) {
-    const size_t eol = rest.find("\r\n");
-    const std::string_view line =
-        eol == std::string_view::npos ? rest : rest.substr(0, eol);
-    rest = eol == std::string_view::npos ? std::string_view{}
-                                         : rest.substr(eol + 2);
-    const size_t colon = line.find(':');
-    if (colon == std::string_view::npos) return HttpParseResult::kMalformed;
-    req.headers.emplace_back(ToLower(Trim(line.substr(0, colon))),
-                             std::string(Trim(line.substr(colon + 1))));
-  }
-
-  size_t content_length = 0;
-  if (const std::string_view cl = req.Header("content-length"); !cl.empty()) {
-    const std::string value(cl);
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' ||
-        parsed > kMaxHttpBodyBytes) {
-      return HttpParseResult::kMalformed;
+  const auto request_line = [](std::string_view line, HttpRequest* req) {
+    const size_t sp1 = line.find(' ');
+    const size_t sp2 =
+        sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
+    if (sp2 == std::string_view::npos) return false;
+    if (line.substr(sp2 + 1, 5) != "HTTP/") return false;
+    const std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+    if (target.empty() || target[0] != '/') return false;
+    req->method = std::string(line.substr(0, sp1));
+    const size_t qmark = target.find('?');
+    req->path = std::string(target.substr(0, qmark));
+    if (qmark != std::string_view::npos) {
+      req->query = std::string(target.substr(qmark + 1));
     }
-    content_length = static_cast<size_t>(parsed);
-  }
-
-  const size_t total = header_end + 4 + content_length;
-  if (buffer.size() < total) return HttpParseResult::kNeedMore;
-  req.body = std::string(buffer.substr(header_end + 4, content_length));
-  *out = std::move(req);
-  *consumed = total;
-  return HttpParseResult::kComplete;
+    return true;
+  };
+  return ParseHttpMessage(buffer, /*length_required=*/false, request_line,
+                          out, consumed);
 }
 
 HttpParseResult ParseHttpResponse(std::string_view buffer, HttpResponse* out,
                                   size_t* consumed) {
-  const size_t header_end = buffer.find("\r\n\r\n");
-  if (header_end == std::string_view::npos) {
-    return buffer.size() > kMaxHttpHeaderBytes ? HttpParseResult::kMalformed
-                                               : HttpParseResult::kNeedMore;
-  }
-  if (header_end > kMaxHttpHeaderBytes) return HttpParseResult::kMalformed;
-
-  const std::string_view head = buffer.substr(0, header_end);
-  const size_t line_end = head.find("\r\n");
-  const std::string_view status_line =
-      line_end == std::string_view::npos ? head : head.substr(0, line_end);
-
-  // "HTTP/1.x SP status SP reason"
-  if (status_line.substr(0, 5) != "HTTP/") return HttpParseResult::kMalformed;
-  const size_t sp1 = status_line.find(' ');
-  if (sp1 == std::string_view::npos) return HttpParseResult::kMalformed;
-  const std::string_view code_on = status_line.substr(sp1 + 1);
-  if (code_on.size() < 3) return HttpParseResult::kMalformed;
-  int status = 0;
-  for (size_t i = 0; i < 3; ++i) {
-    const char c = code_on[i];
-    if (c < '0' || c > '9') return HttpParseResult::kMalformed;
-    status = status * 10 + (c - '0');
-  }
-
-  HttpResponse resp;
-  resp.status = status;
-
-  std::string_view rest =
-      line_end == std::string_view::npos ? std::string_view{}
-                                         : head.substr(line_end + 2);
-  while (!rest.empty()) {
-    const size_t eol = rest.find("\r\n");
-    const std::string_view line =
-        eol == std::string_view::npos ? rest : rest.substr(0, eol);
-    rest = eol == std::string_view::npos ? std::string_view{}
-                                         : rest.substr(eol + 2);
-    const size_t colon = line.find(':');
-    if (colon == std::string_view::npos) return HttpParseResult::kMalformed;
-    resp.headers.emplace_back(ToLower(Trim(line.substr(0, colon))),
-                              std::string(Trim(line.substr(colon + 1))));
-  }
-
-  size_t content_length = 0;
-  if (const std::string_view cl = resp.Header("content-length");
-      !cl.empty()) {
-    const std::string value(cl);
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || parsed > kMaxHttpBodyBytes) {
-      return HttpParseResult::kMalformed;
+  // "HTTP/1.x SP status SP reason". Without Content-Length the body would
+  // be delimited by connection close, which a keep-alive client cannot
+  // frame, so it is required.
+  const auto status_line = [](std::string_view line, HttpResponse* resp) {
+    const size_t sp1 = line.find(' ');
+    if (line.substr(0, 5) != "HTTP/" || sp1 == std::string_view::npos) {
+      return false;
     }
-    content_length = static_cast<size_t>(parsed);
-  } else {
-    // Without Content-Length the body would be delimited by connection
-    // close, which the keep-alive client cannot frame — reject.
-    return HttpParseResult::kMalformed;
-  }
-
-  const size_t total = header_end + 4 + content_length;
-  if (buffer.size() < total) return HttpParseResult::kNeedMore;
-  resp.body = std::string(buffer.substr(header_end + 4, content_length));
-  *out = std::move(resp);
-  *consumed = total;
-  return HttpParseResult::kComplete;
+    const std::string_view code = line.substr(sp1 + 1, 3);
+    if (code.size() < 3) return false;
+    for (const char c : code) {
+      if (c < '0' || c > '9') return false;
+      resp->status = resp->status * 10 + (c - '0');
+    }
+    return true;
+  };
+  return ParseHttpMessage(buffer, /*length_required=*/true, status_line, out,
+                          consumed);
 }
 
 std::string RenderHttpRequest(std::string_view method, std::string_view target,

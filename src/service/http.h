@@ -17,12 +17,15 @@
 
 namespace egi::service {
 
+/// Header (name, value) pairs in arrival order; parsers lower the names.
+using HttpHeaders = std::vector<std::pair<std::string, std::string>>;
+
 /// One parsed control-plane request.
 struct HttpRequest {
   std::string method;  ///< "GET", "POST", "DELETE", ... (uppercase)
   std::string path;    ///< request target up to '?', e.g. "/v1/streams/3"
   std::string query;   ///< raw query string after '?', "" when absent
-  std::vector<std::pair<std::string, std::string>> headers;  ///< names lowered
+  HttpHeaders headers;
   std::string body;
 
   /// Case-insensitive header lookup; empty string when absent.
@@ -37,7 +40,7 @@ struct HttpRequest {
 /// connection to a backend shard, and loopback tests).
 struct HttpResponse {
   int status = 0;
-  std::vector<std::pair<std::string, std::string>> headers;  ///< names lowered
+  HttpHeaders headers;
   std::string body;
 
   /// Case-insensitive header lookup; empty string when absent.

@@ -118,7 +118,8 @@ struct HubService::Impl {
   std::atomic<size_t> last_checkpoint_bytes{0};
 
   // Drain tasks posted to the exec pool and not yet finished; Shutdown
-  // waits for zero so no task outlives the service.
+  // waits for zero so no task outlives the service, and RestoreFromDisk
+  // (under its exclusive lock) so none outlives the stream it drains.
   std::mutex drains_mu;
   std::condition_variable drains_cv;
   size_t drains_in_flight = 0;
@@ -133,8 +134,8 @@ struct HubService::Impl {
 
   // --- helpers (definitions below) ---
   bool ConsumeQuota(Tenant& tenant, size_t count);
-  void ScheduleDrain(size_t id);
-  void DrainStream(size_t id);
+  void ScheduleDrain(StreamState* st);  // structural lock held
+  void DrainStream(StreamState& st);
   void FinishPoints(uint64_t count);
   Tenant* GetOrCreateTenant(const std::string& name);  // excl. lock held
   StreamInfo DescribeLocked(size_t id) const;          // shared lock held
@@ -270,7 +271,7 @@ IngestResponse HubService::HandleIngest(const IngestRequest& request) {
                                       std::memory_order_relaxed) +
       request.values.size()));
   accepted->Add(request.values.size());
-  if (need_schedule) impl_->ScheduleDrain(request.stream);
+  if (need_schedule) impl_->ScheduleDrain(&st);
   resp.type = FrameType::kAck;
   resp.scored_total = st.scored_total.load(std::memory_order_relaxed);
   resp.last_score = st.last_score.load(std::memory_order_relaxed);
@@ -280,13 +281,13 @@ IngestResponse HubService::HandleIngest(const IngestRequest& request) {
 
 // ------------------------------------------------------------- drain tasks
 
-void HubService::Impl::ScheduleDrain(size_t id) {
+void HubService::Impl::ScheduleDrain(StreamState* st) {
   {
     std::lock_guard<std::mutex> lock(drains_mu);
     ++drains_in_flight;
   }
-  exec::ThreadPool::Shared().Enqueue([this, id] {
-    DrainStream(id);
+  exec::ThreadPool::Shared().Enqueue([this, st] {
+    DrainStream(*st);
     std::lock_guard<std::mutex> lock(drains_mu);
     if (--drains_in_flight == 0) drains_cv.notify_all();
   });
@@ -302,18 +303,17 @@ void HubService::Impl::FinishPoints(uint64_t count) {
   }
 }
 
-void HubService::Impl::DrainStream(size_t id) {
+void HubService::Impl::DrainStream(StreamState& st) {
   static auto* scored_counter =
       Telemetry().GetCounter("service.points_scored");
   static auto* drain_hist =
       Telemetry().GetHistogram("service.drain_seconds");
 
-  // Shared structural lock for the whole drain: stream objects cannot be
-  // replaced (RestoreFromDisk is exclusive) while a task advances one.
-  std::shared_lock<std::shared_mutex> structural(struct_mu);
-  if (id >= streams.size()) return;
-  StreamState& st = *streams[id];
-
+  // No structural lock here: a saturated stream's queue may never empty,
+  // and holding the shared lock that long would starve CreateStream and
+  // DeleteStream. The stream object outlives the task because
+  // RestoreFromDisk, the only code that destroys one, first waits for
+  // every drain task to finish.
   std::vector<double> chunk;
   while (true) {
     chunk.clear();
@@ -616,6 +616,14 @@ Status HubService::RestoreFromDisk() {
   if (impl_->pending_points.load(std::memory_order_acquire) != 0) {
     return Status::FailedPrecondition(
         "restore with points still queued; Flush first");
+  }
+  {
+    // Drain tasks hold StreamState pointers without the structural lock.
+    // None can be scheduled while this lock is held, and the ones in
+    // flight only find empty queues, so this wait is short.
+    std::unique_lock<std::mutex> lock(impl_->drains_mu);
+    impl_->drains_cv.wait(lock,
+                          [this] { return impl_->drains_in_flight == 0; });
   }
   // From here on nothing can fail: rebuild the stream table from the
   // manifest and the restored streams.

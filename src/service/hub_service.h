@@ -11,7 +11,10 @@
 // Concurrency model (see DESIGN.md, "Service architecture"):
 //  - A shared_mutex guards the stream table's *shape*: CreateStream /
 //    DeleteStream / RestoreFromDisk take it exclusively, every other
-//    operation shared. Stream ids are dense table indices; deletion is a
+//    operation shared, and only for the length of one call. Drain tasks
+//    never take it: they hold their stream's pointer, and RestoreFromDisk,
+//    the only code that destroys streams, first waits for every drain task
+//    to finish. Stream ids are dense table indices; deletion is a
 //    tombstone so ids stay positionally stable across checkpoint/restore.
 //  - Each stream has a small queue mutex (accept path: bounded queue,
 //    accepted counter) and a detect mutex (score path: its StreamSession).

@@ -9,8 +9,13 @@
 
 #include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <list>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "egi/telemetry.h"
 #include "service/frame.h"
 #include "service/http.h"
+#include "service/socket.h"
 
 namespace egi::service {
 
@@ -25,31 +31,7 @@ namespace {
 
 /// Poll granularity of every blocking loop: the latency bound on noticing
 /// RequestStop.
-constexpr int kPollMillis = 200;
-
-Status WriteAll(int fd, const uint8_t* data, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("write: ") + std::strerror(errno));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-/// Waits for readability with a timeout; returns false on stop/timeout with
-/// nothing to read, true when the fd is readable (or closed).
-bool PollReadable(int fd) {
-  struct pollfd pfd;
-  pfd.fd = fd;
-  pfd.events = POLLIN;
-  pfd.revents = 0;
-  const int n = ::poll(&pfd, 1, kPollMillis);
-  return n > 0;
-}
+constexpr std::chrono::milliseconds kPoll{200};
 
 }  // namespace
 
@@ -65,15 +47,25 @@ struct Server::Impl {
   std::atomic<bool> stop{false};
   std::vector<std::thread> acceptors;
   std::thread checkpoint_timer;
+
+  // One entry per connection thread. The thread marks its entry done as
+  // its last step, and the accept loops join done entries, so a closed
+  // connection's stack is unmapped within one poll period instead of at
+  // shutdown.
+  struct Connection {
+    std::thread thread;
+    bool done = false;  // guarded by conns_mu
+  };
   std::mutex conns_mu;
-  std::vector<std::thread> conns;
+  std::list<Connection> conns;
 
   Result<int> Listen(int port, int* bound_port);
   void AcceptLoop(int listen_fd, bool http);
   void HttpConnection(int fd);
   void IngestConnection(int fd);
   void CheckpointTimerLoop();
-  void JoinConnections();
+  /// Joins the finished connection threads, or all of them.
+  void JoinConnections(bool finished_only);
 };
 
 Server::Server(ServiceHandler* service, ServerOptions options)
@@ -88,7 +80,7 @@ Server::~Server() {
     if (t.joinable()) t.join();
   }
   if (impl_->checkpoint_timer.joinable()) impl_->checkpoint_timer.join();
-  impl_->JoinConnections();
+  impl_->JoinConnections(/*finished_only=*/false);
   if (impl_->http_fd >= 0) ::close(impl_->http_fd);
   if (impl_->ingest_fd >= 0) ::close(impl_->ingest_fd);
 }
@@ -161,7 +153,7 @@ void Server::RequestStop() {
 
 Status Server::Wait() {
   while (!impl_->stop.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMillis));
+    std::this_thread::sleep_for(kPoll);
   }
   for (std::thread& t : impl_->acceptors) t.join();
   impl_->acceptors.clear();
@@ -170,7 +162,7 @@ Status Server::Wait() {
   // rejects once draining; the final checkpoint runs after the queues are
   // flushed and the drain workers have stopped.
   impl_->service->BeginDrain();
-  impl_->JoinConnections();
+  impl_->JoinConnections(/*finished_only=*/false);
   return impl_->service->Shutdown();
 }
 
@@ -178,33 +170,38 @@ void Server::Impl::AcceptLoop(int listen_fd, bool http) {
   static auto* accepted =
       telemetry::Registry::Global().GetCounter("service.connections");
   while (!stop.load(std::memory_order_relaxed)) {
-    if (!PollReadable(listen_fd)) continue;
+    JoinConnections(/*finished_only=*/true);
+    struct pollfd pfd;
+    pfd.fd = listen_fd;
+    pfd.events = POLLIN;
+    pfd.revents = 0;
+    if (::poll(&pfd, 1, static_cast<int>(kPoll.count())) <= 0) continue;
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) continue;
     accepted->Add(1);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(conns_mu);
-    if (http) {
-      conns.emplace_back([this, fd] { HttpConnection(fd); });
-    } else {
-      conns.emplace_back([this, fd] { IngestConnection(fd); });
-    }
+    const auto conn = conns.emplace(conns.end());
+    conn->thread = std::thread([this, fd, http, conn] {
+      if (http) {
+        HttpConnection(fd);
+      } else {
+        IngestConnection(fd);
+      }
+      std::lock_guard<std::mutex> done_lock(conns_mu);
+      conn->done = true;
+    });
   }
 }
 
 void Server::Impl::HttpConnection(int fd) {
   std::string buffer;
-  char chunk[16 * 1024];
   while (!stop.load(std::memory_order_relaxed)) {
-    if (!PollReadable(fd)) continue;
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    buffer.append(chunk, static_cast<size_t>(n));
+    const auto read =
+        ReadSome(fd, &buffer, std::chrono::steady_clock::now() + kPoll);
+    if (!read.ok()) break;
+    if (*read == 0) continue;
     bool close = false;
     while (true) {
       HttpRequest request;
@@ -214,16 +211,13 @@ void Server::Impl::HttpConnection(int fd) {
       if (parsed == HttpParseResult::kNeedMore) break;
       if (parsed == HttpParseResult::kMalformed) {
         const std::string resp = RenderHttpError(400, "malformed request");
-        WriteAll(fd, reinterpret_cast<const uint8_t*>(resp.data()),
-                 resp.size());
+        WriteAll(fd, resp.data(), resp.size());
         close = true;
         break;
       }
       buffer.erase(0, consumed);
       const std::string resp = service->Handle(request);
-      if (!WriteAll(fd, reinterpret_cast<const uint8_t*>(resp.data()),
-                    resp.size())
-               .ok()) {
+      if (!WriteAll(fd, resp.data(), resp.size()).ok()) {
         close = true;
         break;
       }
@@ -238,30 +232,26 @@ void Server::Impl::HttpConnection(int fd) {
 }
 
 void Server::Impl::IngestConnection(int fd) {
-  std::vector<uint8_t> buffer;
+  std::string buffer;
   std::vector<uint8_t> responses;
   IngestRequest request;  // reused: its values vector keeps its capacity
-  uint8_t chunk[64 * 1024];
   while (!stop.load(std::memory_order_relaxed)) {
-    if (!PollReadable(fd)) continue;
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    buffer.insert(buffer.end(), chunk, chunk + n);
+    const auto read =
+        ReadSome(fd, &buffer, std::chrono::steady_clock::now() + kPoll);
+    if (!read.ok()) break;
+    if (*read == 0) continue;
 
     // Decode every complete frame in the buffer, answer each, and send the
     // acks as one write (pipelined clients get batched responses).
+    const std::span<const uint8_t> bytes(
+        reinterpret_cast<const uint8_t*>(buffer.data()), buffer.size());
     size_t offset = 0;
     responses.clear();
     bool close = false;
     while (true) {
       size_t consumed = 0;
-      const FrameParseResult parsed = DecodeIngestFrame(
-          std::span<const uint8_t>(buffer).subspan(offset), &request,
-          &consumed);
+      const FrameParseResult parsed =
+          DecodeIngestFrame(bytes.subspan(offset), &request, &consumed);
       if (parsed == FrameParseResult::kNeedMore) break;
       if (parsed == FrameParseResult::kMalformed) {
         IngestResponse reject;
@@ -274,8 +264,7 @@ void Server::Impl::IngestConnection(int fd) {
       offset += consumed;
       EncodeResponseFrame(service->HandleIngest(request), &responses);
     }
-    buffer.erase(buffer.begin(),
-                 buffer.begin() + static_cast<ptrdiff_t>(offset));
+    buffer.erase(0, offset);
     if (!responses.empty() &&
         !WriteAll(fd, responses.data(), responses.size()).ok()) {
       break;
@@ -290,7 +279,7 @@ void Server::Impl::CheckpointTimerLoop() {
       options.checkpoint_interval_seconds);
   auto next = std::chrono::steady_clock::now() + interval;
   while (!stop.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMillis));
+    std::this_thread::sleep_for(kPoll);
     if (std::chrono::steady_clock::now() < next) continue;
     next = std::chrono::steady_clock::now() + interval;
     // Periodic persistence; failures are recorded, not fatal (the next
@@ -304,15 +293,69 @@ void Server::Impl::CheckpointTimerLoop() {
   }
 }
 
-void Server::Impl::JoinConnections() {
-  std::vector<std::thread> drained;
+void Server::Impl::JoinConnections(bool finished_only) {
+  // Joined outside the lock: a finishing thread takes conns_mu to mark
+  // itself done. std::list keeps each entry in place while it moves, so a
+  // thread still running may mark an entry taken from `conns`.
+  std::list<Connection> joining;
   {
     std::lock_guard<std::mutex> lock(conns_mu);
-    drained.swap(conns);
+    if (!finished_only) {
+      joining.swap(conns);
+    } else {
+      for (auto it = conns.begin(); it != conns.end();) {
+        const auto next = std::next(it);
+        if (it->done) joining.splice(joining.end(), conns, it);
+        it = next;
+      }
+    }
   }
-  for (std::thread& t : drained) {
-    if (t.joinable()) t.join();
+  for (Connection& conn : joining) {
+    if (conn.thread.joinable()) conn.thread.join();
   }
+}
+
+namespace {
+
+Server* g_serving = nullptr;
+
+void StopServing(int) {
+  if (g_serving != nullptr) g_serving->RequestStop();  // one atomic store
+}
+
+}  // namespace
+
+int Serve(ServiceHandler* handler, const ServerOptions& options,
+          std::string_view program, std::string_view banner,
+          std::string_view banner_tail) {
+  const std::string name(program);
+  Server server(handler, options);
+  const Status started = server.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "%s: %s\n", name.c_str(),
+                 started.ToString().c_str());
+    return 1;
+  }
+
+  g_serving = &server;
+  std::signal(SIGTERM, StopServing);
+  std::signal(SIGINT, StopServing);
+  std::signal(SIGPIPE, SIG_IGN);  // peer resets surface as write errors
+
+  std::printf("%s ready http=%d ingest=%d %s\n", std::string(banner).c_str(),
+              server.http_port(), server.ingest_port(),
+              std::string(banner_tail).c_str());
+  std::fflush(stdout);
+
+  const Status drained = server.Wait();
+  g_serving = nullptr;
+  if (!drained.ok()) {
+    std::fprintf(stderr, "%s: final checkpoint failed: %s\n", name.c_str(),
+                 drained.ToString().c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "%s: drained cleanly\n", name.c_str());
+  return 0;
 }
 
 }  // namespace egi::service

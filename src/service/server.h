@@ -12,6 +12,10 @@
 //  - the binary ingest plane (frame.h): length-prefixed point frames, one
 //    ack/reject per frame, many streams multiplexed per connection.
 //
+// One thread per connection; a thread that finishes is joined by the
+// accept loops within one poll timeout, so closed connections hold no
+// stack.
+//
 // Shutdown: RequestStop() just sets an atomic flag (async-signal-safe, so
 // the SIGTERM/SIGINT handler may call it). Wait() notices within one poll
 // timeout, stops accepting, lets in-flight connections finish their current
@@ -22,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "egi/status.h"
 #include "service/handler.h"
@@ -67,5 +72,15 @@ class Server {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// The serving tail of the egid and egid_router mains: starts a Server for
+/// `handler`, turns SIGTERM/SIGINT into RequestStop (SIGPIPE is ignored so
+/// peer resets surface as write errors), prints the one-line ready banner
+/// `<banner> ready http=<port> ingest=<port> <banner_tail>` to stdout, and
+/// Waits. Failures go to stderr as `<program>: ...`. Returns the process
+/// exit code.
+int Serve(ServiceHandler* handler, const ServerOptions& options,
+          std::string_view program, std::string_view banner,
+          std::string_view banner_tail);
 
 }  // namespace egi::service

@@ -8,6 +8,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -101,19 +103,53 @@ TEST_P(FacadeEquivalenceTest, DetectMatchesDirect) {
   }
 }
 
-TEST(FacadeTest, GiFixScoreMatchesDirect) {
-  auto session = Session::Open("gi-fix:w=5,a=4");
-  ASSERT_TRUE(session.ok());
-  auto facade = session->Score(TestSeries(), kWindow);
-  ASSERT_TRUE(facade.ok());
-
-  core::GiParams p;
-  p.window_length = kWindow;
-  p.paa_size = 5;
-  p.alphabet_size = 4;
-  auto direct = core::RunGrammarInduction(TestSeries(), p);
-  ASSERT_TRUE(direct.ok());
-  ExpectSameCurve(*facade, direct->density);
+// Session::Score returns the curve the built detector's Detect ranks from;
+// each scoring method's curve equals the direct core computation.
+TEST(FacadeTest, ScoreMatchesDirect) {
+  const auto& series = TestSeries();
+  using Curve = Result<std::vector<double>>;
+  const auto induce = [&](const core::GiParams& p) -> Curve {
+    EGI_ASSIGN_OR_RETURN(auto run, core::RunGrammarInduction(series, p));
+    return std::move(run.density);
+  };
+  const struct {
+    std::string spec;
+    std::function<Curve()> direct;
+  } cases[] = {
+      {EnsembleSpec(1),
+       [&]() -> Curve {
+         core::EnsembleParams p = DirectEnsembleParams(1);
+         p.window_length = kWindow;
+         EGI_ASSIGN_OR_RETURN(auto result,
+                              core::ComputeEnsembleDensity(series, p));
+         return std::move(result.density);
+       }},
+      {"gi-fix:w=5,a=4",
+       [&] {
+         core::GiParams p;
+         p.window_length = kWindow;
+         p.paa_size = 5;
+         p.alphabet_size = 4;
+         return induce(p);
+       }},
+      {"gi-select",
+       [&]() -> Curve {
+         EGI_ASSIGN_OR_RETURN(
+             const auto p, core::SelectGiDetector().SelectParams(series, kWindow));
+         return induce(p);
+       }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.spec);
+    auto session = Session::Open(c.spec);
+    ASSERT_TRUE(session.ok()) << session.status();
+    EXPECT_TRUE(session->info().supports_score);
+    auto facade = session->Score(series, kWindow);
+    ASSERT_TRUE(facade.ok()) << facade.status();
+    auto direct = c.direct();
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    ExpectSameCurve(*facade, *direct);
+  }
 }
 
 // --------------------------------------------------------------- streaming

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <span>
 #include <string>
@@ -122,6 +123,62 @@ TEST(HttpTest, ParsesStreamPaths) {
         "/v2/streams/1"}) {
     EXPECT_FALSE(ParseStreamPath(bad, &id, &suffix)) << bad;
   }
+}
+
+// The header block is parsed by one function behind both parsers, so every
+// header-block defect must fail both the same way.
+TEST(HttpTest, BothParsersRejectMalformedHeaderBlocks) {
+  HttpRequest req;
+  HttpResponse resp;
+  size_t consumed = 0;
+  for (const std::string headers :
+       {std::string("badheader\r\n"),
+        std::string("Content-Length: huge\r\n"),
+        std::string("Content-Length: 12x\r\n"),
+        std::string("Content-Length: ") +
+            std::to_string(kMaxHttpBodyBytes + 1) + "\r\n"}) {
+    const std::string request = "GET /x HTTP/1.1\r\n" + headers + "\r\n";
+    const std::string response = "HTTP/1.1 200 OK\r\n" + headers + "\r\n";
+    EXPECT_EQ(ParseHttpRequest(request, &req, &consumed),
+              HttpParseResult::kMalformed)
+        << request;
+    EXPECT_EQ(ParseHttpResponse(response, &resp, &consumed),
+              HttpParseResult::kMalformed)
+        << response;
+  }
+  const std::string flood(kMaxHttpHeaderBytes + 2, 'a');
+  EXPECT_EQ(ParseHttpRequest("GET /x HTTP/1.1\r\nX: " + flood, &req,
+                             &consumed),
+            HttpParseResult::kMalformed);
+  EXPECT_EQ(ParseHttpResponse("HTTP/1.1 200 OK\r\nX: " + flood, &resp,
+                              &consumed),
+            HttpParseResult::kMalformed);
+  // Complete but oversize header blocks fail too, not only unterminated
+  // ones.
+  EXPECT_EQ(ParseHttpRequest("GET /x HTTP/1.1\r\nX: " + flood + "\r\n\r\n",
+                             &req, &consumed),
+            HttpParseResult::kMalformed);
+  EXPECT_EQ(ParseHttpResponse(
+                "HTTP/1.1 200 OK\r\nX: " + flood + "\r\n\r\n", &resp,
+                &consumed),
+            HttpParseResult::kMalformed);
+
+  // Response-only rules: Content-Length is required (a keep-alive client
+  // cannot frame a close-delimited body) and the status is three digits.
+  for (const std::string raw :
+       {std::string("HTTP/1.1 200 OK\r\nContent-Type: x\r\n\r\n"),
+        std::string("HTTP/1.1 2x0 OK\r\nContent-Length: 0\r\n\r\n"),
+        std::string("HTTP/1.1 20\r\nContent-Length: 0\r\n\r\n")}) {
+    EXPECT_EQ(ParseHttpResponse(raw, &resp, &consumed),
+              HttpParseResult::kMalformed)
+        << raw;
+  }
+  ASSERT_EQ(ParseHttpResponse("HTTP/1.1 404 Not Found\r\nContent-Length: "
+                              "2\r\n\r\n{}",
+                              &resp, &consumed),
+            HttpParseResult::kComplete);
+  EXPECT_EQ(resp.status, 404);
+  EXPECT_EQ(resp.body, "{}");
 }
 
 // ------------------------------------------------------------------ frames
@@ -960,6 +1017,60 @@ TEST_F(ServiceTest, ShutdownWritesFinalCheckpointAndDrains) {
   auto info = restored->Describe(0);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->scored_total, series.size());
+}
+
+// Drains hold no structural lock, so stream creation and deletion, which
+// take it exclusively, go through while ingest keeps every drain busy.
+TEST_F(ServiceTest, CreateAndDeleteStreamWhileIngestSaturatesScoring) {
+  auto service = MustCreate(SmallServiceOptions());
+  constexpr size_t kStreams = 3;
+  for (size_t s = 0; s < kStreams; ++s) {
+    ASSERT_TRUE(service->CreateStream("t", std::to_string(s)).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < 2; ++p) {
+    producers.emplace_back([&, p] {
+      Rng rng(40 + p);
+      IngestRequest request;
+      request.values = datasets::MakeRandomWalk(20, rng);
+      // Unpaced: queues fill and stay full (kQueueFull rejects).
+      for (size_t i = p; !stop.load(std::memory_order_relaxed); ++i) {
+        request.stream = i % kStreams;
+        service->HandleIngest(request);
+      }
+    });
+  }
+  // Wait until scoring is saturated: some queue is full.
+  const auto saturated = [&] {
+    for (size_t s = 0; s < kStreams; ++s) {
+      if (service->Describe(s)->queued + 20 > 8192) return true;
+    }
+    return false;
+  };
+  for (int i = 0; i < 500 && !saturated(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  auto created = std::async(std::launch::async, [&] {
+    return service->CreateStream("t", "late");
+  });
+  const bool create_ready =
+      created.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  auto deleted =
+      std::async(std::launch::async, [&] { return service->DeleteStream(0); });
+  const bool delete_ready =
+      deleted.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  // Stop the producers before waiting on the futures, so a starved call
+  // still returns once the queues run dry.
+  stop.store(true);
+  for (std::thread& t : producers) t.join();
+  EXPECT_TRUE(create_ready) << "CreateStream starved behind the drains";
+  EXPECT_TRUE(delete_ready) << "DeleteStream starved behind the drains";
+  auto id = created.get();
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(*id, kStreams);
+  EXPECT_TRUE(deleted.get().ok());
 }
 
 // Entry point of the child processes above; skipped in a normal run.

@@ -9,7 +9,7 @@
 // bitwise-identically from its captured state.
 //
 // Configuration is flags first, environment second (every flag has an
-// EGID_* env twin, parsed with the util/env.h helpers):
+// EGID_* env twin; util/flags.h reads both):
 //
 //   egid --http-port=8080 --ingest-port=8081 \
 //        --checkpoint=/var/lib/egid/checkpoint.egis \
@@ -21,55 +21,15 @@
 // SIGTERM/SIGINT trigger a clean drain: stop accepting, reject new frames,
 // score everything queued, write a final checkpoint, exit 0.
 
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "service/hub_service.h"
 #include "service/server.h"
-#include "util/env.h"
+#include "util/flags.h"
 
 namespace {
-
-egi::service::Server* g_server = nullptr;
-
-void HandleSignal(int) {
-  if (g_server != nullptr) g_server->RequestStop();  // one atomic store
-}
-
-// --name=value (or --name value) flag reader over argv, with an env twin.
-struct Flags {
-  int argc;
-  char** argv;
-
-  const char* Find(const char* name) const {
-    const size_t len = std::strlen(name);
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--", 2) != 0) continue;
-      if (std::strncmp(arg + 2, name, len) != 0) continue;
-      if (arg[2 + len] == '=') return arg + 2 + len + 1;
-      if (arg[2 + len] == '\0' && i + 1 < argc) return argv[i + 1];
-    }
-    return nullptr;
-  }
-
-  int64_t Int(const char* name, const char* env, int64_t fallback) const {
-    if (const char* v = Find(name); v != nullptr) return std::atoll(v);
-    return egi::GetEnvInt(env, fallback);
-  }
-  double Double(const char* name, const char* env, double fallback) const {
-    if (const char* v = Find(name); v != nullptr) return std::atof(v);
-    return egi::GetEnvDouble(env, fallback);
-  }
-  std::string Str(const char* name, const char* env,
-                  const std::string& fallback) const {
-    if (const char* v = Find(name); v != nullptr) return v;
-    return egi::GetEnvString(env, fallback);
-  }
-};
 
 int Usage() {
   std::fprintf(stderr,
@@ -94,24 +54,24 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
-  const Flags flags{argc, argv};
+  const egi::Flags flags(argc, argv);
 
   egi::service::HubServiceOptions options;
-  options.spec = flags.Str("spec", "EGID_SPEC", "ensemble");
-  options.stream.window_length = static_cast<size_t>(
-      flags.Int("window", "EGID_WINDOW", 64));
-  options.stream.buffer_capacity = static_cast<size_t>(
-      flags.Int("buffer", "EGID_BUFFER", 4096));
+  options.spec = flags.Str("spec", "ensemble", "EGID_SPEC");
+  options.stream.window_length =
+      static_cast<size_t>(flags.Int("window", 64, "EGID_WINDOW"));
+  options.stream.buffer_capacity =
+      static_cast<size_t>(flags.Int("buffer", 4096, "EGID_BUFFER"));
   options.stream.refit_interval = static_cast<size_t>(
-      flags.Int("refit-interval", "EGID_REFIT_INTERVAL", 512));
-  options.checkpoint_path = flags.Str("checkpoint", "EGID_CHECKPOINT", "");
+      flags.Int("refit-interval", 512, "EGID_REFIT_INTERVAL"));
+  options.checkpoint_path = flags.Str("checkpoint", "", "EGID_CHECKPOINT");
   options.queue_capacity = static_cast<size_t>(
-      flags.Int("queue-capacity", "EGID_QUEUE_CAPACITY", 8192));
+      flags.Int("queue-capacity", 8192, "EGID_QUEUE_CAPACITY"));
   options.max_streams_per_tenant = static_cast<size_t>(
-      flags.Int("max-streams-per-tenant", "EGID_MAX_STREAMS_PER_TENANT", 0));
+      flags.Int("max-streams-per-tenant", 0, "EGID_MAX_STREAMS_PER_TENANT"));
   options.points_per_second =
-      flags.Double("points-per-second", "EGID_POINTS_PER_SECOND", 0.0);
-  options.quota_burst = flags.Double("quota-burst", "EGID_QUOTA_BURST", 0.0);
+      flags.Double("points-per-second", 0.0, "EGID_POINTS_PER_SECOND");
+  options.quota_burst = flags.Double("quota-burst", 0.0, "EGID_QUOTA_BURST");
 
   auto service = egi::service::HubService::Create(std::move(options));
   if (!service.ok()) {
@@ -121,38 +81,15 @@ int main(int argc, char** argv) {
   }
 
   egi::service::ServerOptions server_options;
-  server_options.bind_address = flags.Str("bind", "EGID_BIND", "127.0.0.1");
+  server_options.bind_address = flags.Str("bind", "127.0.0.1", "EGID_BIND");
   server_options.http_port =
-      static_cast<int>(flags.Int("http-port", "EGID_HTTP_PORT", 0));
+      static_cast<int>(flags.Int("http-port", 0, "EGID_HTTP_PORT"));
   server_options.ingest_port =
-      static_cast<int>(flags.Int("ingest-port", "EGID_INGEST_PORT", 0));
+      static_cast<int>(flags.Int("ingest-port", 0, "EGID_INGEST_PORT"));
   server_options.checkpoint_interval_seconds =
-      flags.Double("checkpoint-interval", "EGID_CHECKPOINT_INTERVAL", 0.0);
+      flags.Double("checkpoint-interval", 0.0, "EGID_CHECKPOINT_INTERVAL");
 
-  egi::service::Server server(service->get(), server_options);
-  const egi::Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "egid: %s\n", started.ToString().c_str());
-    return 1;
-  }
-
-  g_server = &server;
-  std::signal(SIGTERM, HandleSignal);
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGPIPE, SIG_IGN);  // peer resets surface as write errors
-
-  std::printf("egid ready http=%d ingest=%d streams=%zu\n",
-              server.http_port(), server.ingest_port(),
-              (*service)->num_streams());
-  std::fflush(stdout);
-
-  const egi::Status drained = server.Wait();
-  g_server = nullptr;
-  if (!drained.ok()) {
-    std::fprintf(stderr, "egid: final checkpoint failed: %s\n",
-                 drained.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "egid: drained cleanly\n");
-  return 0;
+  return egi::service::Serve(
+      service->get(), server_options, "egid", "egid",
+      "streams=" + std::to_string((*service)->num_streams()));
 }

@@ -19,55 +19,15 @@
 // forwards finish, exit 0. The router holds no durable state — shards own
 // their own checkpoints.
 
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "router/router_core.h"
 #include "service/server.h"
-#include "util/env.h"
+#include "util/flags.h"
 
 namespace {
-
-egi::service::Server* g_server = nullptr;
-
-void HandleSignal(int) {
-  if (g_server != nullptr) g_server->RequestStop();  // one atomic store
-}
-
-// --name=value (or --name value) flag reader over argv, with an env twin.
-struct Flags {
-  int argc;
-  char** argv;
-
-  const char* Find(const char* name) const {
-    const size_t len = std::strlen(name);
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--", 2) != 0) continue;
-      if (std::strncmp(arg + 2, name, len) != 0) continue;
-      if (arg[2 + len] == '=') return arg + 2 + len + 1;
-      if (arg[2 + len] == '\0' && i + 1 < argc) return argv[i + 1];
-    }
-    return nullptr;
-  }
-
-  int64_t Int(const char* name, const char* env, int64_t fallback) const {
-    if (const char* v = Find(name); v != nullptr) return std::atoll(v);
-    return egi::GetEnvInt(env, fallback);
-  }
-  double Double(const char* name, const char* env, double fallback) const {
-    if (const char* v = Find(name); v != nullptr) return std::atof(v);
-    return egi::GetEnvDouble(env, fallback);
-  }
-  std::string Str(const char* name, const char* env,
-                  const std::string& fallback) const {
-    if (const char* v = Find(name); v != nullptr) return v;
-    return egi::GetEnvString(env, fallback);
-  }
-};
 
 int Usage() {
   std::fprintf(
@@ -92,10 +52,10 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
-  const Flags flags{argc, argv};
+  const egi::Flags flags(argc, argv);
 
   const std::string shard_spec =
-      flags.Str("shards", "EGID_ROUTER_SHARDS", "");
+      flags.Str("shards", "", "EGID_ROUTER_SHARDS");
   if (shard_spec.empty()) {
     std::fprintf(stderr, "egid_router: --shards is required\n");
     return Usage();
@@ -110,17 +70,17 @@ int main(int argc, char** argv) {
   egi::router::RouterOptions options;
   options.shards = std::move(*endpoints);
   options.channels_per_shard = static_cast<size_t>(
-      flags.Int("channels-per-shard", "EGID_ROUTER_CHANNELS_PER_SHARD", 4));
+      flags.Int("channels-per-shard", 4, "EGID_ROUTER_CHANNELS_PER_SHARD"));
   options.acquire_timeout_seconds =
-      flags.Double("acquire-timeout", "EGID_ROUTER_ACQUIRE_TIMEOUT", 2.0);
+      flags.Double("acquire-timeout", 2.0, "EGID_ROUTER_ACQUIRE_TIMEOUT");
   options.migrate_timeout_seconds =
-      flags.Double("migrate-timeout", "EGID_ROUTER_MIGRATE_TIMEOUT", 10.0);
+      flags.Double("migrate-timeout", 10.0, "EGID_ROUTER_MIGRATE_TIMEOUT");
   options.probe_interval_seconds =
-      flags.Double("probe-interval", "EGID_ROUTER_PROBE_INTERVAL", 1.0);
+      flags.Double("probe-interval", 1.0, "EGID_ROUTER_PROBE_INTERVAL");
   options.probe_backoff_max_seconds =
-      flags.Double("probe-backoff-max", "EGID_ROUTER_PROBE_BACKOFF_MAX", 5.0);
+      flags.Double("probe-backoff-max", 5.0, "EGID_ROUTER_PROBE_BACKOFF_MAX");
   options.factory = egi::router::TcpChannelFactory(
-      flags.Double("shard-timeout", "EGID_ROUTER_SHARD_TIMEOUT", 5.0));
+      flags.Double("shard-timeout", 5.0, "EGID_ROUTER_SHARD_TIMEOUT"));
 
   auto router = egi::router::RouterCore::Create(std::move(options));
   if (!router.ok()) {
@@ -131,35 +91,13 @@ int main(int argc, char** argv) {
 
   egi::service::ServerOptions server_options;
   server_options.bind_address =
-      flags.Str("bind", "EGID_ROUTER_BIND", "127.0.0.1");
+      flags.Str("bind", "127.0.0.1", "EGID_ROUTER_BIND");
   server_options.http_port = static_cast<int>(
-      flags.Int("http-port", "EGID_ROUTER_HTTP_PORT", 0));
+      flags.Int("http-port", 0, "EGID_ROUTER_HTTP_PORT"));
   server_options.ingest_port = static_cast<int>(
-      flags.Int("ingest-port", "EGID_ROUTER_INGEST_PORT", 0));
+      flags.Int("ingest-port", 0, "EGID_ROUTER_INGEST_PORT"));
 
-  egi::service::Server server(router->get(), server_options);
-  const egi::Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "egid_router: %s\n", started.ToString().c_str());
-    return 1;
-  }
-
-  g_server = &server;
-  std::signal(SIGTERM, HandleSignal);
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGPIPE, SIG_IGN);  // peer resets surface as write errors
-
-  std::printf("egid-router ready http=%d ingest=%d shards=%zu\n",
-              server.http_port(), server.ingest_port(),
-              (*router)->num_shards());
-  std::fflush(stdout);
-
-  const egi::Status drained = server.Wait();
-  g_server = nullptr;
-  if (!drained.ok()) {
-    std::fprintf(stderr, "egid_router: %s\n", drained.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "egid_router: drained cleanly\n");
-  return 0;
+  return egi::service::Serve(
+      router->get(), server_options, "egid_router", "egid-router",
+      "shards=" + std::to_string((*router)->num_shards()));
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the egid daemon: boot → load → checkpoint →
-# kill -9 → restart (restore-on-boot) → verify state survived → clean
-# SIGTERM drain. CI runs this under `timeout` on every push; it is also
-# handy locally:
+# kill -9 → restart (restore-on-boot) → verify state survived → closed
+# connections release their threads → stream creation answers under
+# saturating ingest → clean SIGTERM drain. CI runs this under `timeout` on
+# every push; it is also handy locally:
 #
 #   tools/egid_smoke.sh build
 #
@@ -17,9 +18,11 @@ WORK=$(mktemp -d)
 CKPT="$WORK/checkpoint.egis"
 LOG="$WORK/egid.log"
 EGID_PID=""
+LOADGEN_PID=""
 
 fail() {
   echo "FAIL: $*" >&2
+  [[ -n $LOADGEN_PID ]] && kill "$LOADGEN_PID" 2>/dev/null
   if [[ -s $LOG ]]; then
     echo "--- egid log ($LOG) ---" >&2
     cat "$LOG" >&2
@@ -98,6 +101,49 @@ DESCRIBE=$(http GET /v1/streams/0)
 echo "$DESCRIBE" | grep -q '"scored":60' || fail "restored stream lost points: $DESCRIBE"
 http GET /healthz | grep -q '"status":"ok"' || fail "healthz after restore"
 
+# Closed connections must not keep their threads: 200 one-shot /healthz
+# probes may grow the daemon's memory map by a few lines, not by a thread
+# stack (two lines) per probe. The accept loops reap within 200 ms.
+maps_lines() { wc -l <"/proc/$EGID_PID/maps"; }
+MAPS_BEFORE=$(maps_lines)
+for _ in $(seq 200); do
+  curl -sS -o /dev/null "http://127.0.0.1:$HTTP_PORT/healthz" \
+    || fail "healthz probe failed"
+done
+for _ in $(seq 20); do
+  (( $(maps_lines) - MAPS_BEFORE < 64 )) && break
+  sleep 0.1
+done
+MAPS_GROWTH=$(( $(maps_lines) - MAPS_BEFORE ))
+(( MAPS_GROWTH < 64 )) \
+  || fail "200 closed connections grew egid's memory map by $MAPS_GROWTH lines"
+echo "200 closed connections grew egid's memory map by $MAPS_GROWTH lines"
+
+# Stream creation must not starve behind saturated scoring. loadgen floods
+# the ingest plane until it is killed (it sees queue_full rejects, so its
+# exit status is ignored); once a queue is full, POST /v1/streams must
+# still answer within 5 s.
+"$LOADGEN" --http-port="$HTTP_PORT" --ingest-port="$INGEST_PORT" \
+           --streams=50 --batch=500 --rounds=100000 --json \
+           >"$WORK/saturate.json" 2>&1 &
+LOADGEN_PID=$!
+for _ in $(seq 100); do
+  http GET /v1/streams/50 2>/dev/null | grep -q '"queued":[0-9]\{4\}' && break
+  sleep 0.1
+done
+http GET /v1/streams/50 | grep -q '"queued":[0-9]\{4\}' \
+  || fail "loadgen did not saturate stream 50: $(cat "$WORK/saturate.json")"
+CREATED=$(curl -sS --max-time 5 -o /dev/null -w '%{http_code}' -X POST \
+  -d '{"tenant":"smoke","name":"late"}' "http://127.0.0.1:$HTTP_PORT/v1/streams")
+kill "$LOADGEN_PID" 2>/dev/null
+wait "$LOADGEN_PID" 2>/dev/null
+LOADGEN_PID=""
+[[ $CREATED == 201 ]] \
+  || fail "POST /v1/streams under saturating ingest answered '$CREATED', not 201 within 5 s"
+echo "POST /v1/streams answered 201 under saturating ingest"
+# Score the backlog now, so the SIGTERM drain below fits its 30 s wait.
+http POST /v1/flush | grep -q '"flushed":true' || fail "flush after saturation"
+
 # Clean shutdown: SIGTERM drains and exits 0.
 kill -TERM "$EGID_PID"
 for _ in $(seq 300); do
@@ -111,4 +157,4 @@ else
 fi
 
 rm -rf "$WORK"
-echo "PASS: egid smoke (load, checkpoint, SIGKILL, restore, drain)"
+echo "PASS: egid smoke (load, checkpoint, SIGKILL, restore, reaping, create under load, drain)"
