@@ -66,23 +66,23 @@ int main(int argc, char** argv) {
 
   TextTable table("average Score per variant (HitRate in parentheses)");
   std::vector<std::string> header{"Variant"};
-  for (const auto d : datasets::kAllDatasets)
+  for (const auto d : data::kAllFamilies)
     header.push_back(bench::DatasetName(d));
   table.SetHeader(std::move(header));
 
   for (const auto& variant : variants) {
     std::vector<std::string> row{variant.name};
-    for (const auto d : datasets::kAllDatasets) {
+    for (const auto d : data::kAllFamilies) {
       const auto series_set = eval::MakeEvaluationSeries(
           d, settings.series_per_dataset, settings.data_seed);
-      const size_t window = datasets::GetDatasetSpec(d).instance_length;
+      const size_t window = data::GetFamilyInfo(d).instance_length;
       core::EnsembleGiDetector detector(variant.params);
 
       eval::MethodAggregate agg;
       for (const auto& s : series_set) {
         auto r = detector.Detect(s.values, window, 3);
         EGI_CHECK(r.ok()) << r.status().ToString();
-        agg.scores.push_back(eval::BestScore(*r, s.anomaly));
+        agg.scores.push_back(BestScore(*r, s.anomaly));
       }
       row.push_back(FormatDouble(agg.AverageScore(), 3) + " (" +
                     FormatDouble(agg.HitRate(), 2) + ")");

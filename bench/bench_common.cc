@@ -6,9 +6,9 @@
 #include <ostream>
 
 #include "core/detector.h"
+#include "egi/metrics.h"
 #include "egi/registry.h"
 #include "egi/session.h"
-#include "eval/metrics.h"
 #include "util/env.h"
 #include "util/json.h"
 
@@ -95,16 +95,16 @@ void PrintPreamble(const std::string& what, const BenchSettings& settings) {
       "(DESIGN.md); compare shapes, not absolute values.\n\n");
 }
 
-std::string DatasetName(datasets::UcrDataset dataset) {
-  return std::string(datasets::GetDatasetSpec(dataset).name);
+std::string DatasetName(data::Family dataset) {
+  return std::string(data::GetFamilyInfo(dataset).name);
 }
 
-std::vector<double> EnsembleScoresForRange(datasets::UcrDataset dataset,
+std::vector<double> EnsembleScoresForRange(data::Family dataset,
                                            const BenchSettings& settings,
                                            int wmax, int amax) {
   const auto series_set = eval::MakeEvaluationSeries(
       dataset, settings.series_per_dataset, settings.data_seed);
-  const size_t window = datasets::GetDatasetSpec(dataset).instance_length;
+  const size_t window = data::GetFamilyInfo(dataset).instance_length;
 
   core::EnsembleParams p;
   p.wmax = wmax;
@@ -117,18 +117,18 @@ std::vector<double> EnsembleScoresForRange(datasets::UcrDataset dataset,
   for (const auto& s : series_set) {
     auto r = detector.Detect(s.values, window, 3);
     EGI_CHECK(r.ok()) << r.status().ToString();
-    scores.push_back(eval::BestScore(*r, s.anomaly));
+    scores.push_back(BestScore(*r, s.anomaly));
   }
   return scores;
 }
 
-BaselinePick BestGiBaseline(datasets::UcrDataset dataset,
+BaselinePick BestGiBaseline(data::Family dataset,
                             const BenchSettings& settings) {
   eval::ExperimentConfig cfg;
   cfg.series_per_dataset = settings.series_per_dataset;
   cfg.data_seed = settings.data_seed;
 
-  const datasets::UcrDataset ds[] = {dataset};
+  const data::Family ds[] = {dataset};
   const auto methods = PaperMethods(settings);
   const auto gi_baselines = std::span(methods).subspan(1, 3);
   const auto result = eval::RunExperiment(ds, gi_baselines, cfg);
@@ -150,8 +150,7 @@ eval::ExperimentResult RunMainExperiment(const BenchSettings& settings) {
   eval::ExperimentConfig cfg;
   cfg.series_per_dataset = settings.series_per_dataset;
   cfg.data_seed = settings.data_seed;
-  return eval::RunExperiment(datasets::kAllDatasets, PaperMethods(settings),
-                             cfg);
+  return eval::RunExperiment(data::kAllFamilies, PaperMethods(settings), cfg);
 }
 
 // ------------------------------------------------- machine-readable output

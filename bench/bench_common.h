@@ -50,11 +50,11 @@ bool HandleStandardFlags(int argc, char** argv);
 /// determinism note).
 void PrintPreamble(const std::string& what, const BenchSettings& settings);
 
-std::string DatasetName(datasets::UcrDataset dataset);
+std::string DatasetName(data::Family dataset);
 
 /// Per-series best-of-top-3 ensemble Scores on one dataset for an arbitrary
 /// (wmax, amax) range (used by the Table 7/8/9 sweeps).
-std::vector<double> EnsembleScoresForRange(datasets::UcrDataset dataset,
+std::vector<double> EnsembleScoresForRange(data::Family dataset,
                                            const BenchSettings& settings,
                                            int wmax, int amax);
 
@@ -64,7 +64,7 @@ struct BaselinePick {
   std::string label;
   eval::MethodAggregate agg;
 };
-BaselinePick BestGiBaseline(datasets::UcrDataset dataset,
+BaselinePick BestGiBaseline(data::Family dataset,
                             const BenchSettings& settings);
 
 /// Runs the main 5-method experiment of Section 7.1 (Tables 4/5/6, Fig 10).

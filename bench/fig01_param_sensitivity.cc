@@ -12,7 +12,7 @@
 #include "core/detector.h"
 #include "core/gi.h"
 #include "datasets/power.h"
-#include "eval/metrics.h"
+#include "egi/metrics.h"
 #include "util/rng.h"
 
 int main(int argc, char** argv) {
@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
       EGI_CHECK(run.ok()) << run.status().ToString();
       const auto anomalies =
           core::FindDensityAnomalies(run->density, window, 3);
-      const double score =
-          eval::BestScore(anomalies, series.anomalies[0]);
+      const double score = BestScore(anomalies, series.anomalies[0]);
       if (score > best_score) {
         best_score = score;
         best_w = w;
@@ -72,6 +71,6 @@ int main(int argc, char** argv) {
   auto r = ensemble.Detect(series.values, window, 3);
   EGI_CHECK(r.ok()) << r.status().ToString();
   std::printf("ensemble (no parameter choice): Score %.2f\n",
-              eval::BestScore(*r, series.anomalies[0]));
+              BestScore(*r, series.anomalies[0]));
   return 0;
 }

@@ -11,7 +11,7 @@
 #include "bench_common.h"
 #include "core/detector.h"
 #include "datasets/power.h"
-#include "ts/window.h"
+#include "egi/types.h"
 #include "util/env.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
   Stopwatch sw;
   auto result =
-      detector.Detect(stream.values, datasets::kFridgeCycleLength, 2);
+      detector.Detect(stream.values, data::kFridgeCycleLength, 2);
   EGI_CHECK(result.ok()) << result.status().ToString();
   const double secs = sw.ElapsedSeconds();
 
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   for (const auto& c : *result) {
     const char* label = "no planted event (natural variation)";
     for (size_t i = 0; i < stream.anomalies.size(); ++i) {
-      if (ts::Overlaps(c.window(), stream.anomalies[i])) {
+      if (Overlaps(c.window(), stream.anomalies[i])) {
         label = i == 0 ? "unusual-shape cycle (Fig 9(c))"
                        : "spikes event (Fig 9(d))";
         ++matched;

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   TextTable table("Figure 10 summary: points below/on/above the diagonal");
   table.SetHeader({"Dataset", "Baseline", "Wins", "Ties", "Losses", "CSV"});
-  for (const auto d : datasets::kAllDatasets) {
+  for (const auto d : data::kAllFamilies) {
     const auto& proposed = result.Get(d, methods.front().label);
     for (const auto& baseline : std::span(methods).subspan(1)) {
       const auto& base = result.Get(d, baseline.label);

@@ -179,11 +179,11 @@ int RunRefitPolicyMode(bool json, bool quick) {
 
   struct PolicyRow {
     const char* name;
-    stream::RefitPolicy policy;
+    RefitPolicy policy;
   };
   const PolicyRow rows[] = {
-      {"fixed", stream::RefitPolicy::kFixed},
-      {"adaptive", stream::RefitPolicy::kAdaptive},
+      {"fixed", RefitPolicy::kFixed},
+      {"adaptive", RefitPolicy::kAdaptive},
   };
 
   uint64_t fixed_refits = 0;
@@ -208,7 +208,7 @@ int RunRefitPolicyMode(bool json, bool quick) {
       secs = std::min(secs, sw.ElapsedSeconds());
       refits = detector.refit_count() - warm_refits;
     }
-    if (row.policy == stream::RefitPolicy::kFixed) fixed_refits = refits;
+    if (row.policy == RefitPolicy::kFixed) fixed_refits = refits;
 
     // Agreement pass (untimed): replay once more; every refit supersedes
     // the provisional scores issued since the previous one, so compare each
@@ -223,7 +223,7 @@ int RunRefitPolicyMode(bool json, bool quick) {
     double abs_err = 0.0;
     size_t compared = 0;
     for (const double v : data) {
-      const stream::ScoredPoint pt = detector.Append(v);
+      const StreamPoint pt = detector.Append(v);
       if (pt.refit) {
         // Snapshot entries are oldest-first; the last one is the refit
         // point itself and the pending points sit directly before it.

@@ -9,7 +9,7 @@
 #include "bench_common.h"
 #include "core/detector.h"
 #include "datasets/planted.h"
-#include "ts/window.h"
+#include "egi/types.h"
 #include "util/rng.h"
 
 int main(int argc, char** argv) {
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < num_series; ++i) {
     Rng rng(settings.data_seed + static_cast<uint64_t>(i) * 101);
     const auto s = datasets::MakeMultiPlantedSeries(
-        datasets::UcrDataset::kStarLightCurve, rng, 42, 2);
+        data::Family::kStarLightCurve, rng, 42, 2);
 
     core::EnsembleParams p;
     p.ensemble_size = settings.ensemble_size;
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     int found = 0;
     for (const auto& gt : s.anomalies) {
       for (const auto& c : *r) {
-        if (ts::Overlaps(c.window(), gt)) {
+        if (Overlaps(c.window(), gt)) {
           ++found;
           break;
         }

@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   {
     TextTable t3("Table 3: dataset properties");
     t3.SetHeader({"Dataset", "Series Length", "Segment Length", "Data Type"});
-    for (const auto d : datasets::kAllDatasets) {
-      const auto& spec = datasets::GetDatasetSpec(d);
+    for (const auto d : data::kAllFamilies) {
+      const auto& spec = data::GetFamilyInfo(d);
       t3.AddRow({std::string(spec.name),
                  std::to_string(21 * spec.instance_length),
                  std::to_string(spec.instance_length),
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   TextTable table("Table 4: average Score");
   table.SetHeader({"Dataset", "Proposed", "GI-Random", "GI-Fix", "GI-Select",
                    "Discord"});
-  for (const auto d : datasets::kAllDatasets) {
+  for (const auto d : data::kAllFamilies) {
     std::vector<std::string> row{bench::DatasetName(d)};
     for (const auto& m : methods) {
       row.push_back(FormatDouble(result.Get(d, m.label).AverageScore(), 4));

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   TextTable table("Table 5: HitRate");
   table.SetHeader({"Dataset", "Proposed", "GI-Random", "GI-Fix", "GI-Select",
                    "Discord"});
-  for (const auto d : datasets::kAllDatasets) {
+  for (const auto d : data::kAllFamilies) {
     std::vector<std::string> row{bench::DatasetName(d)};
     for (const auto& m : methods) {
       row.push_back(FormatDouble(result.Get(d, m.label).HitRate(), 2));

@@ -20,13 +20,13 @@ int main(int argc, char** argv) {
 
   TextTable table("Table 6: ensemble W/T/L vs baselines");
   std::vector<std::string> header{"Approach \\ Dataset"};
-  for (const auto d : datasets::kAllDatasets)
+  for (const auto d : data::kAllFamilies)
     header.push_back(bench::DatasetName(d));
   table.SetHeader(std::move(header));
 
   for (const auto& baseline : std::span(methods).subspan(1)) {
     std::vector<std::string> row{baseline.label};
-    for (const auto d : datasets::kAllDatasets) {
+    for (const auto d : data::kAllFamilies) {
       const auto wtl = eval::CompareScores(result.Get(d, proposed),
                                            result.Get(d, baseline.label));
       row.push_back(wtl.ToString());

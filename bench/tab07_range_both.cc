@@ -18,21 +18,21 @@ int main(int argc, char** argv) {
 
   TextTable table("Table 7");
   std::vector<std::string> header{"Approach"};
-  for (const auto d : datasets::kAllDatasets)
+  for (const auto d : data::kAllFamilies)
     header.push_back(bench::DatasetName(d));
   table.SetHeader(std::move(header));
 
   // The baseline per dataset is fixed across configurations.
   std::vector<bench::BaselinePick> baselines;
-  for (const auto d : datasets::kAllDatasets)
+  for (const auto d : data::kAllFamilies)
     baselines.push_back(bench::BestGiBaseline(d, settings));
 
   for (const int r : ranges) {
     std::vector<std::string> row{"amax=" + std::to_string(r) +
                                  ",wmax=" + std::to_string(r)};
-    for (size_t di = 0; di < datasets::kAllDatasets.size(); ++di) {
+    for (size_t di = 0; di < data::kAllFamilies.size(); ++di) {
       const auto scores = bench::EnsembleScoresForRange(
-          datasets::kAllDatasets[di], settings, r, r);
+          data::kAllFamilies[di], settings, r, r);
       eval::WinTieLoss wtl;
       for (size_t i = 0; i < scores.size(); ++i)
         wtl.Add(scores[i], baselines[di].agg.scores[i]);
@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
 
   std::printf("\nbest GI baseline per dataset:");
-  for (size_t di = 0; di < datasets::kAllDatasets.size(); ++di) {
-    std::printf(" %s=%s", bench::DatasetName(datasets::kAllDatasets[di]).c_str(),
+  for (size_t di = 0; di < data::kAllFamilies.size(); ++di) {
+    std::printf(" %s=%s", bench::DatasetName(data::kAllFamilies[di]).c_str(),
                 baselines[di].label.c_str());
   }
   std::printf("\n");

@@ -18,19 +18,19 @@ int main(int argc, char** argv) {
 
   TextTable table("Table 9");
   std::vector<std::string> header{"Approach"};
-  for (const auto d : datasets::kAllDatasets)
+  for (const auto d : data::kAllFamilies)
     header.push_back(bench::DatasetName(d));
   table.SetHeader(std::move(header));
 
   std::vector<bench::BaselinePick> baselines;
-  for (const auto d : datasets::kAllDatasets)
+  for (const auto d : data::kAllFamilies)
     baselines.push_back(bench::BestGiBaseline(d, settings));
 
   for (const int amax : amaxes) {
     std::vector<std::string> row{"amax=" + std::to_string(amax) + ",wmax=10"};
-    for (size_t di = 0; di < datasets::kAllDatasets.size(); ++di) {
+    for (size_t di = 0; di < data::kAllFamilies.size(); ++di) {
       const auto scores = bench::EnsembleScoresForRange(
-          datasets::kAllDatasets[di], settings, 10, amax);
+          data::kAllFamilies[di], settings, 10, amax);
       eval::WinTieLoss wtl;
       for (size_t i = 0; i < scores.size(); ++i)
         wtl.Add(scores[i], baselines[di].agg.scores[i]);

@@ -6,7 +6,7 @@
 #include "bench_common.h"
 #include "core/anomaly.h"
 #include "core/ensemble.h"
-#include "eval/metrics.h"
+#include "egi/metrics.h"
 
 int main(int argc, char** argv) {
   if (egi::bench::HandleStandardFlags(argc, argv)) return 0;
@@ -21,10 +21,10 @@ int main(int argc, char** argv) {
   for (int n : n_values) header.push_back("N=" + std::to_string(n));
   table.SetHeader(std::move(header));
 
-  for (const auto d : datasets::kAllDatasets) {
+  for (const auto d : data::kAllFamilies) {
     const auto series_set = eval::MakeEvaluationSeries(
         d, settings.series_per_dataset, settings.data_seed);
-    const size_t window = datasets::GetDatasetSpec(d).instance_length;
+    const size_t window = data::GetFamilyInfo(d).instance_length;
 
     std::vector<int> hits(n_values.size(), 0);
     for (const auto& s : series_set) {
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
             prefix, p.selectivity, p.combine, p.normalize, true);
         const auto anomalies =
             core::FindDensityAnomalies(ensemble, window, 3);
-        if (eval::IsHit(anomalies, s.anomaly)) ++hits[ni];
+        if (IsHit(anomalies, s.anomaly)) ++hits[ni];
       }
     }
 

@@ -12,7 +12,7 @@
 #include "bench_common.h"
 #include "core/anomaly.h"
 #include "core/ensemble.h"
-#include "eval/metrics.h"
+#include "egi/metrics.h"
 #include "ts/stats.h"
 #include "util/env.h"
 
@@ -35,10 +35,10 @@ int main(int argc, char** argv) {
                      "%");
   table.SetHeader(std::move(header));
 
-  for (const auto d : datasets::kAllDatasets) {
+  for (const auto d : data::kAllFamilies) {
     const auto series_set = eval::MakeEvaluationSeries(
         d, settings.series_per_dataset, settings.data_seed);
-    const size_t window = datasets::GetDatasetSpec(d).instance_length;
+    const size_t window = data::GetFamilyInfo(d).instance_length;
 
     // avg_scores[tau][rep] = average Score over the series set.
     std::vector<std::vector<double>> avg_scores(
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
           const auto anomalies =
               core::FindDensityAnomalies(ensemble, window, 3);
           avg_scores[ti][static_cast<size_t>(rep)] +=
-              eval::BestScore(anomalies, s.anomaly) /
+              BestScore(anomalies, s.anomaly) /
               static_cast<double>(series_set.size());
         }
       }

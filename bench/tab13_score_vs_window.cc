@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   // One column (window fraction) at a time, proposed method only.
   std::vector<std::vector<std::string>> rows;
-  for (const auto d : datasets::kAllDatasets)
+  for (const auto d : data::kAllFamilies)
     rows.push_back({bench::DatasetName(d)});
 
   const auto methods = bench::PaperMethods(settings);
@@ -34,10 +34,10 @@ int main(int argc, char** argv) {
     cfg.data_seed = settings.data_seed;
     cfg.window_fraction = f;
     const auto result =
-        eval::RunExperiment(datasets::kAllDatasets, proposed, cfg);
-    for (size_t di = 0; di < datasets::kAllDatasets.size(); ++di) {
+        eval::RunExperiment(data::kAllFamilies, proposed, cfg);
+    for (size_t di = 0; di < data::kAllFamilies.size(); ++di) {
       rows[di].push_back(FormatDouble(
-          result.Get(datasets::kAllDatasets[di], proposed[0].label)
+          result.Get(data::kAllFamilies[di], proposed[0].label)
               .AverageScore(),
           4));
     }

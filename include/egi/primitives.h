@@ -23,9 +23,11 @@ namespace egi {
 Result<std::string> SaxWord(std::span<const double> values, int paa_size,
                             int alphabet_size);
 
-/// A numerosity-reduced token sequence (paper Section 4.2, Eq. 2 -> Eq. 3):
-/// consecutive duplicate tokens collapsed to their first occurrence, with
-/// `offsets` remembering where each surviving token started.
+/// A numerosity-reduced token sequence (paper Section 4.2): consecutive
+/// duplicate tokens collapsed to their first occurrence, with `offsets`
+/// remembering where each surviving token started in the original
+/// sliding-window position space. Example (Eq. 2 -> Eq. 3):
+///   ba,ba,ba,dc,dc,aa,ac,ac  ->  tokens {ba,dc,aa,ac}, offsets {0,3,5,6}.
 struct TokenRuns {
   std::vector<int32_t> tokens;
   std::vector<size_t> offsets;

@@ -20,15 +20,6 @@
 
 namespace egi {
 
-/// When a streaming session replays the batch algorithm (see DESIGN.md,
-/// "Adaptive ensembles & refit policy").
-enum class RefitPolicy : uint8_t {
-  kFixed = 0,     ///< every refit_interval appends (the classic cadence)
-  kAdaptive = 1,  ///< drift-gated: the cadence stretches while the
-                  ///< provisional score distribution stays inside a
-                  ///< tolerance band, and snaps back on drift
-};
-
 /// Configuration of a streaming session opened from a batch Session. The
 /// Algorithm 1 knobs (wmax, amax, n, tau, seed, prune_to, threads) come from
 /// the owning Session's spec; these are the stream-shape knobs.
@@ -52,19 +43,6 @@ struct StreamOptions {
   /// the post-refit provisional scores. Must be finite and > 0 under
   /// kAdaptive. Ignored under kFixed.
   double drift_tolerance = 0.25;
-};
-
-/// One scored stream point, as returned by StreamSession::Append and
-/// StreamHub::Ingest.
-struct StreamPoint {
-  uint64_t index = 0;   ///< 0-based position in the stream since creation
-  double value = 0.0;   ///< the ingested value
-  double score = 0.0;   ///< ensemble rule density in [0, 1]; LOW = anomalous
-  bool scored = false;  ///< false until the first refit has fitted a model,
-                        ///< and for rejected (non-finite) values
-  bool provisional = false;  ///< true when produced by the incremental path
-                             ///< (superseded by the next refit)
-  bool refit = false;        ///< this append completed a full batch refit
 };
 
 /// A single online detection stream (the façade over the streaming

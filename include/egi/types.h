@@ -2,10 +2,12 @@
 
 // Part of the installed public API (see DESIGN.md, "Public API"). The common
 // value types exchanged across the egi:: front door: half-open ranges over a
-// series, and ranked anomaly detections.
+// series, ranked anomaly detections, and scored stream points. This header
+// is their only definition; the internal layers use them as is.
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 namespace egi {
 
@@ -47,6 +49,28 @@ struct Detection {
   size_t run_length = 0;
 
   Range window() const { return Range{position, length}; }
+};
+
+/// When a streaming session replays the batch algorithm (see DESIGN.md,
+/// "Adaptive ensembles & refit policy").
+enum class RefitPolicy : uint8_t {
+  kFixed = 0,     ///< every refit_interval appends (the classic cadence)
+  kAdaptive = 1,  ///< drift-gated: the cadence stretches while the
+                  ///< provisional score distribution stays inside a
+                  ///< tolerance band, and snaps back on drift
+};
+
+/// One scored stream point, as returned by StreamSession::Append and
+/// StreamHub::Ingest.
+struct StreamPoint {
+  uint64_t index = 0;   ///< 0-based position in the stream since creation
+  double value = 0.0;   ///< the ingested value
+  double score = 0.0;   ///< ensemble rule density in [0, 1]; LOW = anomalous
+  bool scored = false;  ///< false until the first refit has fitted a model,
+                        ///< and for rejected (non-finite) values
+  bool provisional = false;  ///< true when produced by the incremental path
+                             ///< (superseded by the next refit)
+  bool refit = false;        ///< this append completed a full batch refit
 };
 
 }  // namespace egi

@@ -17,26 +17,6 @@ namespace {
 
 telemetry::Registry& Telemetry() { return telemetry::Registry::Global(); }
 
-Detection ToDetection(const core::Anomaly& a) {
-  Detection d;
-  d.position = a.position;
-  d.length = a.length;
-  d.severity = a.severity;
-  d.run_length = a.run_length;
-  return d;
-}
-
-StreamPoint ToStreamPoint(const stream::ScoredPoint& p) {
-  StreamPoint out;
-  out.index = p.index;
-  out.value = p.value;
-  out.score = p.score;
-  out.scored = p.scored;
-  out.provisional = p.provisional;
-  out.refit = p.refit;
-  return out;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------- StreamSession
@@ -53,16 +33,11 @@ StreamSession& StreamSession::operator=(StreamSession&&) noexcept = default;
 StreamSession::~StreamSession() = default;
 
 StreamPoint StreamSession::Append(double value) {
-  return ToStreamPoint(impl_->detector.Append(value));
+  return impl_->detector.Append(value);
 }
 
 std::vector<StreamPoint> StreamSession::Ingest(std::span<const double> values) {
-  std::vector<StreamPoint> out;
-  out.reserve(values.size());
-  for (const stream::ScoredPoint& p : impl_->detector.Ingest(values)) {
-    out.push_back(ToStreamPoint(p));
-  }
-  return out;
+  return impl_->detector.Ingest(values);
 }
 
 Status StreamSession::ForceRefit() { return impl_->detector.ForceRefit(); }
@@ -131,12 +106,7 @@ size_t StreamHub::AddStream() {
 
 std::vector<StreamPoint> StreamHub::Ingest(size_t stream,
                                            std::span<const double> values) {
-  std::vector<StreamPoint> out;
-  out.reserve(values.size());
-  for (const stream::ScoredPoint& p : impl_->At(stream).Ingest(values)) {
-    out.push_back(ToStreamPoint(p));
-  }
-  return out;
+  return impl_->At(stream).Ingest(values);
 }
 
 size_t StreamHub::num_streams() const { return impl_->streams.size(); }
@@ -273,12 +243,7 @@ Result<std::vector<Detection>> Session::Detect(std::span<const double> series,
   static auto* hist = Telemetry().GetHistogram("session.detect_seconds");
   calls->Add(1);
   telemetry::ScopedTimer timer(hist);
-  EGI_ASSIGN_OR_RETURN(auto found, impl_->detector->Detect(
-                                       series, window_length, max_candidates));
-  std::vector<Detection> out;
-  out.reserve(found.size());
-  for (const core::Anomaly& a : found) out.push_back(ToDetection(a));
-  return out;
+  return impl_->detector->Detect(series, window_length, max_candidates);
 }
 
 Result<std::vector<double>> Session::Score(std::span<const double> series,
@@ -310,9 +275,7 @@ Result<stream::StreamDetectorOptions> StreamOptionsFor(
   out.ensemble.window_length = options.window_length;
   out.buffer_capacity = options.buffer_capacity;
   out.refit_interval = options.refit_interval;
-  out.refit_policy = options.refit_policy == RefitPolicy::kAdaptive
-                         ? stream::RefitPolicy::kAdaptive
-                         : stream::RefitPolicy::kFixed;
+  out.refit_policy = options.refit_policy;
   out.refit_interval_max = options.refit_interval_max;
   out.drift_tolerance = options.drift_tolerance;
   EGI_RETURN_IF_ERROR(stream::StreamDetector::ValidateOptions(out));

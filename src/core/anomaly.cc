@@ -7,9 +7,9 @@
 
 namespace egi::core {
 
-std::vector<Anomaly> FindDensityAnomalies(std::span<const double> density,
-                                          size_t window_length,
-                                          size_t max_candidates) {
+std::vector<Detection> FindDensityAnomalies(std::span<const double> density,
+                                            size_t window_length,
+                                            size_t max_candidates) {
   const size_t len = density.size();
   EGI_CHECK(window_length >= 1 && window_length <= len)
       << "window length " << window_length << " invalid for curve of length "
@@ -24,7 +24,7 @@ std::vector<Anomaly> FindDensityAnomalies(std::span<const double> density,
     valid_hi = len - 1;
   }
 
-  std::vector<Anomaly> out;
+  std::vector<Detection> out;
   std::vector<bool> masked(len, false);
 
   while (out.size() < max_candidates) {
@@ -52,7 +52,7 @@ std::vector<Anomaly> FindDensityAnomalies(std::span<const double> density,
       ++run_end;
     }
 
-    Anomaly a;
+    Detection a;
     a.position = std::min(run_start, last_start);
     a.length = window_length;
     a.severity = -best;

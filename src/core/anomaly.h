@@ -3,27 +3,9 @@
 #include <span>
 #include <vector>
 
-#include "ts/window.h"
+#include "egi/types.h"
 
 namespace egi::core {
-
-/// One ranked anomaly candidate. Candidates returned by a detector are
-/// sorted most-anomalous first and are mutually non-overlapping.
-struct Anomaly {
-  /// Start of the anomalous subsequence (clamped so a full window fits).
-  size_t position = 0;
-  /// Reported subsequence length (the detection window length).
-  size_t length = 0;
-  /// Severity: larger is more anomalous. For density-based detectors this is
-  /// the negated (possibly normalized) rule density at the minimum; for
-  /// discord-based detectors it is the 1-NN distance.
-  double severity = 0.0;
-  /// Length of the contiguous curve-minimum run backing the candidate
-  /// (density-based detectors only; 0 otherwise).
-  size_t run_length = 0;
-
-  ts::Window window() const { return ts::Window{position, length}; }
-};
 
 /// Extracts up to `max_candidates` anomalies from a rule density curve
 /// (paper Section 5.2): repeatedly locate the lowest-valued contiguous run
@@ -37,8 +19,8 @@ struct Anomaly {
 /// artifact, not evidence of anomaly (zero-density tails would otherwise
 /// always win). When the series is too short to have a valid region the
 /// whole curve is scanned.
-std::vector<Anomaly> FindDensityAnomalies(std::span<const double> density,
-                                          size_t window_length,
-                                          size_t max_candidates);
+std::vector<Detection> FindDensityAnomalies(std::span<const double> density,
+                                            size_t window_length,
+                                            size_t max_candidates);
 
 }  // namespace egi::core

@@ -13,7 +13,7 @@
 
 namespace egi::core {
 
-Result<std::vector<Anomaly>> AnomalyDetector::Detect(
+Result<std::vector<Detection>> AnomalyDetector::Detect(
     std::span<const double> series, size_t window_length,
     size_t max_candidates) {
   EGI_ASSIGN_OR_RETURN(const auto density, Score(series, window_length));
@@ -66,7 +66,7 @@ Result<std::vector<double>> FixedGiDetector::Score(
 RandomGiDetector::RandomGiDetector(int wmax, int amax, uint64_t seed)
     : wmax_(wmax), amax_(amax), next_seed_(seed) {}
 
-Result<std::vector<Anomaly>> RandomGiDetector::Detect(
+Result<std::vector<Detection>> RandomGiDetector::Detect(
     std::span<const double> series, size_t window_length,
     size_t max_candidates) {
   Rng rng(next_seed_);
@@ -208,16 +208,16 @@ Result<std::vector<double>> SelectGiDetector::Score(
 DiscordDetector::DiscordDetector(exec::Parallelism parallelism)
     : parallelism_(parallelism) {}
 
-Result<std::vector<Anomaly>> DiscordDetector::Detect(
+Result<std::vector<Detection>> DiscordDetector::Detect(
     std::span<const double> series, size_t window_length,
     size_t max_candidates) {
   EGI_ASSIGN_OR_RETURN(auto mp, discord::ComputeMatrixProfileStomp(
                                     series, window_length, parallelism_));
   const auto discords = discord::TopKDiscords(mp, max_candidates);
-  std::vector<Anomaly> out;
+  std::vector<Detection> out;
   out.reserve(discords.size());
   for (const auto& d : discords) {
-    Anomaly a;
+    Detection a;
     a.position = d.position;
     a.length = window_length;
     a.severity = d.distance;

@@ -24,9 +24,9 @@ class AnomalyDetector {
   virtual std::string_view name() const = 0;
 
   /// The default ranks the density anomalies of Score's curve.
-  virtual Result<std::vector<Anomaly>> Detect(std::span<const double> series,
-                                              size_t window_length,
-                                              size_t max_candidates);
+  virtual Result<std::vector<Detection>> Detect(
+      std::span<const double> series, size_t window_length,
+      size_t max_candidates);
 
   /// Point-wise anomaly curve, one value per series point, that Detect
   /// ranks candidates from. FailedPrecondition for detectors that rank
@@ -78,9 +78,9 @@ class RandomGiDetector : public AnomalyDetector {
   RandomGiDetector(int wmax = 10, int amax = 10, uint64_t seed = 1);
 
   std::string_view name() const override { return "GI-Random"; }
-  Result<std::vector<Anomaly>> Detect(std::span<const double> series,
-                                      size_t window_length,
-                                      size_t max_candidates) override;
+  Result<std::vector<Detection>> Detect(std::span<const double> series,
+                                        size_t window_length,
+                                        size_t max_candidates) override;
 
   /// The (w, a) used by the last Detect() call.
   int last_paa_size() const { return last_w_; }
@@ -134,9 +134,9 @@ class DiscordDetector : public AnomalyDetector {
       exec::Parallelism parallelism = exec::Parallelism::FromEnv());
 
   std::string_view name() const override { return "Discord"; }
-  Result<std::vector<Anomaly>> Detect(std::span<const double> series,
-                                      size_t window_length,
-                                      size_t max_candidates) override;
+  Result<std::vector<Detection>> Detect(std::span<const double> series,
+                                        size_t window_length,
+                                        size_t max_candidates) override;
 
  private:
   exec::Parallelism parallelism_;

@@ -39,7 +39,7 @@ Result<std::vector<Motif>> DiscoverMotifs(std::span<const double> series,
       const size_t end = std::min(series_len - 1,
                                   offsets[p + rule.expansion_length - 1] +
                                       n - 1);
-      m.instances.push_back(ts::Window{start, end - start + 1});
+      m.instances.push_back(Range{start, end - start + 1});
       total_len += static_cast<double>(end - start + 1);
     }
     const double mean_len =

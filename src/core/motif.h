@@ -1,33 +1,13 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/gi.h"
-#include "ts/window.h"
+#include "egi/motif.h"
 #include "util/result.h"
 
 namespace egi::core {
-
-/// A variable-length motif: a grammar rule whose expansion repeats across
-/// the series (the dual of anomaly detection — the paper's Section 3.1
-/// notes that compressible regions are motifs while incompressible ones are
-/// anomaly candidates). This mirrors the GrammarViz motif-mining use of the
-/// same grammar artifact.
-struct Motif {
-  /// Index of the backing rule in the induced grammar (0-based, i.e. R1 has
-  /// index 0).
-  size_t rule_index = 0;
-  /// The rule's expansion length in tokens.
-  size_t token_span = 0;
-  /// All instances mapped back to the time domain, in series order.
-  std::vector<ts::Window> instances;
-  /// Fraction of the series covered by at least one instance.
-  double coverage = 0.0;
-  /// The motif's SAX word sequence (rendered rule expansion), for display.
-  std::string words;
-};
 
 /// Options for grammar-based motif discovery.
 struct MotifParams {

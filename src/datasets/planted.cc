@@ -2,22 +2,24 @@
 
 #include <algorithm>
 
+#include "datasets/ucr_like.h"
 #include "util/check.h"
 
 namespace egi::datasets {
 
-PlantedSeries MakePlantedSeries(UcrDataset dataset, Rng& rng, int num_normal,
-                                double plant_lo, double plant_hi) {
+data::PlantedSeries MakePlantedSeries(data::Family family, Rng& rng,
+                                      int num_normal, double plant_lo,
+                                      double plant_hi) {
   EGI_CHECK(num_normal >= 2);
   EGI_CHECK(plant_lo >= 0.0 && plant_lo < plant_hi && plant_hi <= 1.0);
-  const size_t L = GetDatasetSpec(dataset).instance_length;
+  const size_t L = data::GetFamilyInfo(family).instance_length;
   const auto slots = static_cast<size_t>(num_normal);
   const size_t final_len = (slots + 1) * L;
 
-  PlantedSeries out;
+  data::PlantedSeries out;
   out.values.reserve(final_len);
   for (size_t k = 0; k < slots; ++k) {
-    const auto inst = MakeInstance(dataset, /*anomalous=*/false, rng);
+    const auto inst = MakeInstance(family, /*anomalous=*/false, rng);
     out.values.insert(out.values.end(), inst.begin(), inst.end());
   }
 
@@ -32,23 +34,23 @@ PlantedSeries MakePlantedSeries(UcrDataset dataset, Rng& rng, int num_normal,
   const auto pos = static_cast<size_t>(rng.UniformInt(
       lo, std::min<int64_t>(hi, static_cast<int64_t>(out.values.size()))));
 
-  const auto anomaly = MakeInstance(dataset, /*anomalous=*/true, rng);
+  const auto anomaly = MakeInstance(family, /*anomalous=*/true, rng);
   out.values.insert(out.values.begin() + static_cast<ptrdiff_t>(pos),
                     anomaly.begin(), anomaly.end());
-  out.anomaly = ts::Window{pos, anomaly.size()};
+  out.anomaly = Range{pos, anomaly.size()};
 
   EGI_CHECK(out.values.size() == final_len);
   EGI_CHECK(out.anomaly.length == L);
   return out;
 }
 
-MultiPlantedSeries MakeMultiPlantedSeries(UcrDataset dataset, Rng& rng,
-                                          int total_instances,
-                                          int num_anomalies) {
+data::LabeledSeries MakeMultiPlantedSeries(data::Family family, Rng& rng,
+                                           int total_instances,
+                                           int num_anomalies) {
   EGI_CHECK(total_instances >= 3 && num_anomalies >= 1);
   EGI_CHECK(num_anomalies * 2 < total_instances)
       << "too many anomalies to keep them non-adjacent";
-  const size_t L = GetDatasetSpec(dataset).instance_length;
+  const size_t L = data::GetFamilyInfo(family).instance_length;
   const auto slots = static_cast<size_t>(total_instances);
 
   // Draw anomaly slots until none are adjacent (cheap rejection sampling;
@@ -65,15 +67,15 @@ MultiPlantedSeries MakeMultiPlantedSeries(UcrDataset dataset, Rng& rng,
     if (ok) break;
   }
 
-  MultiPlantedSeries out;
+  data::LabeledSeries out;
   out.values.reserve(slots * L);
   size_t next_pick = 0;
   for (size_t k = 0; k < slots; ++k) {
     const bool anomalous = next_pick < picks.size() && picks[next_pick] == k;
     if (anomalous) ++next_pick;
-    const auto inst = MakeInstance(dataset, anomalous, rng);
+    const auto inst = MakeInstance(family, anomalous, rng);
     if (anomalous)
-      out.anomalies.push_back(ts::Window{out.values.size(), inst.size()});
+      out.anomalies.push_back(Range{out.values.size(), inst.size()});
     out.values.insert(out.values.end(), inst.begin(), inst.end());
   }
   EGI_CHECK(out.values.size() == slots * L);

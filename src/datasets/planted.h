@@ -1,39 +1,24 @@
 #pragma once
 
-#include <vector>
-
-#include "datasets/ucr_like.h"
-#include "ts/window.h"
+#include "egi/datasets.h"
 #include "util/rng.h"
 
 namespace egi::datasets {
-
-/// A benchmark series with one known planted anomaly (the ground truth of
-/// the paper's Section 7.1.1 protocol).
-struct PlantedSeries {
-  std::vector<double> values;
-  ts::Window anomaly;
-};
-
-/// A benchmark series with several planted anomalies (Section 7.5).
-struct MultiPlantedSeries {
-  std::vector<double> values;
-  std::vector<ts::Window> anomalies;
-};
 
 /// Builds one evaluation series following the paper's protocol: concatenate
 /// `num_normal` randomly drawn normal instances, then splice one anomalous
 /// instance in at an instance boundary whose resulting fraction of the final
 /// series lies within [plant_lo, plant_hi] (the paper uses 40%..80%).
-PlantedSeries MakePlantedSeries(UcrDataset dataset, Rng& rng,
-                                int num_normal = 20, double plant_lo = 0.4,
-                                double plant_hi = 0.8);
+data::PlantedSeries MakePlantedSeries(data::Family family, Rng& rng,
+                                      int num_normal = 20,
+                                      double plant_lo = 0.4,
+                                      double plant_hi = 0.8);
 
 /// Builds a multi-anomaly series (Section 7.5): `total_instances` slots of
 /// which `num_anomalies` are anomalous instances, placed at random distinct
 /// non-adjacent slots (so the anomalies cannot merge into one region).
-MultiPlantedSeries MakeMultiPlantedSeries(UcrDataset dataset, Rng& rng,
-                                          int total_instances,
-                                          int num_anomalies);
+data::LabeledSeries MakeMultiPlantedSeries(data::Family family, Rng& rng,
+                                           int total_instances,
+                                           int num_anomalies);
 
 }  // namespace egi::datasets

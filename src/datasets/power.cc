@@ -12,7 +12,7 @@ namespace {
 
 // Appends one fridge duty cycle; returns the window the cycle occupies.
 // kind: 0 = normal, 1 = unusual sagging ON shape, 2 = spikes during OFF.
-ts::Window AppendFridgeCycle(std::vector<double>* out, Rng& rng, int kind) {
+Range AppendFridgeCycle(std::vector<double>* out, Rng& rng, int kind) {
   const size_t start = out->size();
   auto on_len = static_cast<size_t>(rng.UniformInt(305, 318));
   const auto off_len = static_cast<size_t>(rng.UniformInt(570, 585));
@@ -50,17 +50,17 @@ ts::Window AppendFridgeCycle(std::vector<double>* out, Rng& rng, int kind) {
   for (double& v : cycle) v = std::max(0.0, v);
 
   out->insert(out->end(), cycle.begin(), cycle.end());
-  return ts::Window{start, cycle.size()};
+  return Range{start, cycle.size()};
 }
 
 }  // namespace
 
-LabeledSeries MakeFridgeFreezerSeries(size_t length, Rng& rng,
-                                      bool plant_anomalies) {
-  EGI_CHECK(length >= 4 * kFridgeCycleLength)
+data::LabeledSeries MakeFridgeFreezerSeries(size_t length, Rng& rng,
+                                            bool plant_anomalies) {
+  EGI_CHECK(length >= 4 * data::kFridgeCycleLength)
       << "series too short for fridge cycles";
-  LabeledSeries out;
-  out.values.reserve(length + kFridgeCycleLength);
+  data::LabeledSeries out;
+  out.values.reserve(length + data::kFridgeCycleLength);
 
   // Anomalies near 40% and 65% of the series, in line with the case study's
   // "somewhere in a very long stream" setting.
@@ -78,7 +78,7 @@ LabeledSeries MakeFridgeFreezerSeries(size_t length, Rng& rng,
       kind = 2;
       planted_b = true;
     }
-    const ts::Window w = AppendFridgeCycle(&out.values, rng, kind);
+    const Range w = AppendFridgeCycle(&out.values, rng, kind);
     if (kind != 0) out.anomalies.push_back(w);
     if (out.values.size() <= length) last_complete = out.values.size();
   }
@@ -89,9 +89,9 @@ LabeledSeries MakeFridgeFreezerSeries(size_t length, Rng& rng,
   return out;
 }
 
-LabeledSeries MakeDishwasherSeries(int num_cycles, Rng& rng) {
+data::LabeledSeries MakeDishwasherSeries(int num_cycles, Rng& rng) {
   EGI_CHECK(num_cycles >= 3);
-  LabeledSeries out;
+  data::LabeledSeries out;
   const int anomalous_cycle = num_cycles / 2;
 
   for (int c = 0; c < num_cycles; ++c) {
@@ -122,7 +122,7 @@ LabeledSeries MakeDishwasherSeries(int num_cycles, Rng& rng) {
     for (double& v : cycle) v = std::max(0.0, v);
 
     out.values.insert(out.values.end(), cycle.begin(), cycle.end());
-    if (anomalous) out.anomalies.push_back(ts::Window{start, cycle.size()});
+    if (anomalous) out.anomalies.push_back(Range{start, cycle.size()});
   }
   return out;
 }

@@ -1,17 +1,11 @@
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
-#include "ts/window.h"
+#include "egi/datasets.h"
 #include "util/rng.h"
 
 namespace egi::datasets {
-
-/// A generated series with labeled unusual regions.
-struct LabeledSeries {
-  std::vector<double> values;
-  std::vector<ts::Window> anomalies;
-};
 
 /// REFIT-style fridge-freezer power usage simulator (paper Section 7.4 /
 /// Figure 9 substitution — see DESIGN.md). Duty cycles of roughly 900
@@ -21,17 +15,17 @@ struct LabeledSeries {
 /// planted in the middle third of the series:
 ///   1. a cycle with an unusual sagging/oscillating ON shape (Fig 9(c)),
 ///   2. a burst of short spikes between otherwise normal cycles (Fig 9(d)).
-LabeledSeries MakeFridgeFreezerSeries(size_t length, Rng& rng,
-                                      bool plant_anomalies = true);
+data::LabeledSeries MakeFridgeFreezerSeries(size_t length, Rng& rng,
+                                            bool plant_anomalies = true);
 
 /// Dishwasher electricity usage simulator (paper Figure 1): repeating wash
 /// cycles (pre-rinse, heated wash, rinse, dry) with one anomalous cycle
 /// whose heated-wash phase is unusually short. Returns `num_cycles` cycles;
 /// the anomalous one is placed near the middle.
-LabeledSeries MakeDishwasherSeries(int num_cycles, Rng& rng);
+data::LabeledSeries MakeDishwasherSeries(int num_cycles, Rng& rng);
 
-/// Nominal cycle lengths (exposed so benches can choose window lengths).
-inline constexpr size_t kFridgeCycleLength = 900;
+/// Nominal dishwasher cycle length, a natural window length (the fridge's
+/// is data::kFridgeCycleLength).
 inline constexpr size_t kDishwasherCycleLength = 220;
 
 }  // namespace egi::datasets

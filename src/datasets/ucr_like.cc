@@ -5,15 +5,24 @@
 #include "datasets/shapes.h"
 #include "util/check.h"
 
+namespace egi::data {
+
+const FamilyInfo& GetFamilyInfo(Family family) {
+  static constexpr FamilyInfo kInfos[] = {
+      {"TwoLeadECG", 82, "ECG"},     {"ECGFiveDays", 132, "ECG"},
+      {"GunPoint", 150, "Motion"},   {"Wafer", 150, "Sensor"},
+      {"Trace", 275, "Sensor"},      {"StarLightCurve", 1024, "Sensor"},
+  };
+  const auto idx = static_cast<size_t>(family);
+  EGI_CHECK(idx < std::size(kInfos)) << "unknown family";
+  return kInfos[idx];
+}
+
+}  // namespace egi::data
+
 namespace egi::datasets {
 
 namespace {
-
-constexpr DatasetSpec kSpecs[] = {
-    {"TwoLeadECG", 82, "ECG"},     {"ECGFiveDays", 132, "ECG"},
-    {"GunPoint", 150, "Motion"},   {"Wafer", 150, "Sensor"},
-    {"Trace", 275, "Sensor"},      {"StarLightCurve", 1024, "Sensor"},
-};
 
 // Uniform multiplicative jitter around 1.
 double Jitter(Rng& rng, double spread) {
@@ -202,29 +211,23 @@ std::vector<double> MakeStarLightCurve(bool anomalous, Rng& rng) {
 
 }  // namespace
 
-const DatasetSpec& GetDatasetSpec(UcrDataset dataset) {
-  const auto idx = static_cast<size_t>(dataset);
-  EGI_CHECK(idx < std::size(kSpecs)) << "unknown dataset";
-  return kSpecs[idx];
-}
-
-std::vector<double> MakeInstance(UcrDataset dataset, bool anomalous,
+std::vector<double> MakeInstance(data::Family family, bool anomalous,
                                  Rng& rng) {
-  switch (dataset) {
-    case UcrDataset::kTwoLeadEcg:
+  switch (family) {
+    case data::Family::kTwoLeadEcg:
       return MakeTwoLeadEcg(anomalous, rng);
-    case UcrDataset::kEcgFiveDays:
+    case data::Family::kEcgFiveDays:
       return MakeEcgFiveDays(anomalous, rng);
-    case UcrDataset::kGunPoint:
+    case data::Family::kGunPoint:
       return MakeGunPoint(anomalous, rng);
-    case UcrDataset::kWafer:
+    case data::Family::kWafer:
       return MakeWafer(anomalous, rng);
-    case UcrDataset::kTrace:
+    case data::Family::kTrace:
       return MakeTrace(anomalous, rng);
-    case UcrDataset::kStarLightCurve:
+    case data::Family::kStarLightCurve:
       return MakeStarLightCurve(anomalous, rng);
   }
-  EGI_CHECK(false) << "unknown dataset";
+  EGI_CHECK(false) << "unknown family";
   return {};
 }
 

@@ -1,46 +1,22 @@
 #pragma once
 
-#include <array>
-#include <string_view>
 #include <vector>
 
+#include "egi/datasets.h"
 #include "util/rng.h"
 
 namespace egi::datasets {
 
-/// The six dataset families of the paper's evaluation (Table 3). The UCR
-/// archive is not available offline, so each family is a seeded synthetic
-/// generator with the paper's instance length and the same labeling
-/// protocol: the class-1 shape is "normal", a structurally different shape
-/// is "anomalous" (see DESIGN.md, substitutions).
-enum class UcrDataset {
-  kTwoLeadEcg,      // 82,   ECG beat; anomaly: inverted QRS morphology
-  kEcgFiveDays,     // 132,  ECG beat; anomaly: wide QRS + ST depression
-  kGunPoint,        // 150,  motion; anomaly: no holster overshoot/dip
-  kWafer,           // 150,  process trace; anomaly: missing spike, level shift
-  kTrace,           // 275,  transient; anomaly: pre-step damped oscillation
-  kStarLightCurve,  // 1024, periodic light curve; anomaly: eclipsing dips
-};
-
-inline constexpr std::array<UcrDataset, 6> kAllDatasets = {
-    UcrDataset::kTwoLeadEcg, UcrDataset::kEcgFiveDays,
-    UcrDataset::kGunPoint,   UcrDataset::kWafer,
-    UcrDataset::kTrace,      UcrDataset::kStarLightCurve,
-};
-
-/// Static properties of a dataset family (mirrors the paper's Table 3).
-struct DatasetSpec {
-  std::string_view name;
-  size_t instance_length;
-  std::string_view data_type;
-};
-
-const DatasetSpec& GetDatasetSpec(UcrDataset dataset);
-
-/// Generates one instance of the family. `anomalous == false` draws from the
-/// "normal" class, true from the "anomalous" class. Instances have the
-/// spec's exact length; per-instance jitter (shape positions, amplitudes,
-/// noise) comes from `rng`.
-std::vector<double> MakeInstance(UcrDataset dataset, bool anomalous, Rng& rng);
+/// Generates one instance of a data::Family, the six dataset families of the
+/// paper's evaluation (Table 3). The UCR archive is not available offline,
+/// so each family is a seeded synthetic generator with the paper's instance
+/// length and the same labeling protocol: the class-1 shape is "normal", a
+/// structurally different shape is "anomalous" (see DESIGN.md,
+/// substitutions). `anomalous == false` draws from the "normal" class, true
+/// from the "anomalous" class. Instances have the family's exact
+/// data::GetFamilyInfo length; per-instance jitter (shape positions,
+/// amplitudes, noise) comes from `rng`.
+std::vector<double> MakeInstance(data::Family family, bool anomalous,
+                                 Rng& rng);
 
 }  // namespace egi::datasets

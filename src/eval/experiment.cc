@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "api/internal.h"
+#include "datasets/planted.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -20,7 +21,7 @@ std::vector<PaperMethod> PaperMethods(int ensemble_size, int threads) {
   };
 }
 
-const MethodAggregate& ExperimentResult::Get(datasets::UcrDataset d,
+const MethodAggregate& ExperimentResult::Get(data::Family d,
                                              std::string_view label) const {
   auto dit = scores.find(d);
   EGI_CHECK(dit != scores.end()) << "dataset not evaluated";
@@ -29,11 +30,12 @@ const MethodAggregate& ExperimentResult::Get(datasets::UcrDataset d,
   return mit->second;
 }
 
-std::vector<datasets::PlantedSeries> MakeEvaluationSeries(
-    datasets::UcrDataset dataset, int count, uint64_t data_seed) {
+std::vector<data::PlantedSeries> MakeEvaluationSeries(data::Family dataset,
+                                                     int count,
+                                                     uint64_t data_seed) {
   // One deterministic substream per (dataset, index) so a different series
   // count still yields the same leading series.
-  std::vector<datasets::PlantedSeries> out;
+  std::vector<data::PlantedSeries> out;
   out.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
     Rng rng(data_seed ^ (0x517CC1B727220A95ULL *
@@ -45,7 +47,7 @@ std::vector<datasets::PlantedSeries> MakeEvaluationSeries(
 }
 
 ExperimentResult RunExperiment(
-    std::span<const datasets::UcrDataset> datasets_to_run,
+    std::span<const data::Family> datasets_to_run,
     std::span<const PaperMethod> methods, const ExperimentConfig& config) {
   const size_t num_datasets = datasets_to_run.size();
   const size_t num_methods = methods.size();
@@ -53,7 +55,7 @@ ExperimentResult RunExperiment(
   // Evaluation series are generated once per dataset (serially — generation
   // is cheap) and shared read-only by that dataset's method cells.
   struct DatasetInputs {
-    std::vector<datasets::PlantedSeries> series;
+    std::vector<data::PlantedSeries> series;
     size_t window = 0;
   };
   std::vector<DatasetInputs> inputs(num_datasets);
@@ -61,7 +63,7 @@ ExperimentResult RunExperiment(
     inputs[d].series = MakeEvaluationSeries(
         datasets_to_run[d], config.series_per_dataset, config.data_seed);
     const size_t instance_len =
-        datasets::GetDatasetSpec(datasets_to_run[d]).instance_length;
+        data::GetFamilyInfo(datasets_to_run[d]).instance_length;
     inputs[d].window = static_cast<size_t>(std::max(
         2.0, config.window_fraction * static_cast<double>(instance_len)));
   }

@@ -8,7 +8,7 @@
 #include <string_view>
 #include <vector>
 
-#include "datasets/planted.h"
+#include "egi/datasets.h"
 #include "eval/metrics.h"
 #include "exec/parallel.h"
 
@@ -48,24 +48,22 @@ struct ExperimentConfig {
 /// Score for every generated series (everything else — average Score,
 /// HitRate, win/tie/loss — derives from these).
 struct ExperimentResult {
-  std::map<datasets::UcrDataset,
-           std::map<std::string, MethodAggregate, std::less<>>>
+  std::map<data::Family, std::map<std::string, MethodAggregate, std::less<>>>
       scores;
 
-  const MethodAggregate& Get(datasets::UcrDataset d,
-                             std::string_view label) const;
+  const MethodAggregate& Get(data::Family d, std::string_view label) const;
 };
 
 /// Deterministically regenerates the evaluation series for one dataset
 /// (shared by every bench so all tables see identical data).
-std::vector<datasets::PlantedSeries> MakeEvaluationSeries(
-    datasets::UcrDataset dataset, int count, uint64_t data_seed);
+std::vector<data::PlantedSeries> MakeEvaluationSeries(data::Family dataset,
+                                                     int count,
+                                                     uint64_t data_seed);
 
 /// Runs `methods` over every dataset in `datasets_to_run`, building each
 /// detector from its spec through the registry. Aborts on a spec the
 /// registry rejects (programmer error).
-ExperimentResult RunExperiment(std::span<const datasets::UcrDataset>
-                                   datasets_to_run,
+ExperimentResult RunExperiment(std::span<const data::Family> datasets_to_run,
                                std::span<const PaperMethod> methods,
                                const ExperimentConfig& config);
 

@@ -6,7 +6,7 @@
 
 #include "util/check.h"
 
-namespace egi::eval {
+namespace egi {
 
 double ScoreEq5(size_t predict_position, size_t gt_position,
                 size_t gt_length) {
@@ -17,8 +17,8 @@ double ScoreEq5(size_t predict_position, size_t gt_position,
   return 1.0 - std::min(1.0, diff / static_cast<double>(gt_length));
 }
 
-double BestScore(std::span<const core::Anomaly> candidates,
-                 const ts::Window& ground_truth) {
+double BestScore(std::span<const Detection> candidates,
+                 const Range& ground_truth) {
   double best = 0.0;
   for (const auto& c : candidates) {
     best = std::max(best, ScoreEq5(c.position, ground_truth.start,
@@ -27,10 +27,11 @@ double BestScore(std::span<const core::Anomaly> candidates,
   return best;
 }
 
-bool IsHit(std::span<const core::Anomaly> candidates,
-           const ts::Window& ground_truth) {
+bool IsHit(std::span<const Detection> candidates, const Range& ground_truth) {
   return BestScore(candidates, ground_truth) > 0.0;
 }
+
+namespace eval {
 
 void WinTieLoss::Add(double proposed_score, double baseline_score,
                      double eps) {
@@ -64,4 +65,5 @@ double MethodAggregate::HitRate() const {
   return static_cast<double>(hits) / static_cast<double>(scores.size());
 }
 
-}  // namespace egi::eval
+}  // namespace eval
+}  // namespace egi

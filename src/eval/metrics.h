@@ -1,28 +1,15 @@
 #pragma once
 
-#include <span>
+// The paper's table aggregates. The per-series metrics they aggregate
+// (ScoreEq5, BestScore, IsHit) are declared in egi/metrics.h and defined in
+// metrics.cc.
+
 #include <string>
 #include <vector>
 
-#include "core/anomaly.h"
-#include "ts/window.h"
+#include "egi/metrics.h"
 
 namespace egi::eval {
-
-/// The paper's Score (Eq. 5):
-///   Score = 1 - min(1, |predict - gt_position| / gt_length).
-/// 1 at an exact match, decaying linearly to 0 at one ground-truth length of
-/// displacement.
-double ScoreEq5(size_t predict_position, size_t gt_position, size_t gt_length);
-
-/// Best Score among candidates (the paper keeps the max over the top-3).
-/// Returns 0 when `candidates` is empty.
-double BestScore(std::span<const core::Anomaly> candidates,
-                 const ts::Window& ground_truth);
-
-/// A "hit" is Score > 0 for at least one candidate.
-bool IsHit(std::span<const core::Anomaly> candidates,
-           const ts::Window& ground_truth);
 
 /// Win/tie/loss tallies of the proposed method against a baseline.
 struct WinTieLoss {

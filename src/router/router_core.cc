@@ -33,46 +33,6 @@ Clock::duration Seconds(double s) {
       std::chrono::duration<double>(s));
 }
 
-/// `{"shards":["host:hp:ip",...]}` → the string elements. Endpoint strings
-/// never need JSON escapes, so a backslash (or anything non-string in the
-/// array) is a parse error.
-bool ParseShardsBody(std::string_view body, std::vector<std::string>* out) {
-  const size_t key = body.find("\"shards\"");
-  if (key == std::string_view::npos) return false;
-  size_t i = key + 8;
-  auto skip_ws = [&] {
-    while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
-                               body[i] == '\r' || body[i] == '\n')) {
-      ++i;
-    }
-  };
-  skip_ws();
-  if (i >= body.size() || body[i] != ':') return false;
-  ++i;
-  skip_ws();
-  if (i >= body.size() || body[i] != '[') return false;
-  ++i;
-  skip_ws();
-  if (i < body.size() && body[i] == ']') return !out->empty() || true;
-  while (true) {
-    skip_ws();
-    if (i >= body.size() || body[i] != '"') return false;
-    const size_t start = ++i;
-    while (i < body.size() && body[i] != '"') {
-      if (body[i] == '\\') return false;
-      ++i;
-    }
-    if (i >= body.size()) return false;
-    out->emplace_back(body.substr(start, i - start));
-    ++i;
-    skip_ws();
-    if (i >= body.size()) return false;
-    if (body[i] == ']') return true;
-    if (body[i] != ',') return false;
-    ++i;
-  }
-}
-
 /// Rewrites the leading `{"stream":<local>` of a shard response body to the
 /// router's global id and injects the shard index, so clients only ever see
 /// router ids: `{"stream":<gid>,"shard":<idx>,...`.
@@ -976,7 +936,8 @@ std::string RouterCore::Handle(const HttpRequest& request) {
     }
     if (request.method == "POST") {
       std::vector<std::string> specs;
-      if (!ParseShardsBody(request.body, &specs) || specs.empty()) {
+      if (!JsonFindStringArray(request.body, "shards", &specs) ||
+          specs.empty()) {
         return RenderHttpError(
             400, "body must carry a \"shards\" array of endpoint strings");
       }

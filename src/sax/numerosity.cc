@@ -4,8 +4,8 @@
 
 namespace egi::sax {
 
-TokenSequence NumerosityReduce(std::span<const int32_t> raw, bool enabled) {
-  TokenSequence out;
+TokenRuns NumerosityReduce(std::span<const int32_t> raw, bool enabled) {
+  TokenRuns out;
   if (raw.empty()) return out;
   out.tokens.reserve(enabled ? raw.size() / 4 + 1 : raw.size());
   out.offsets.reserve(out.tokens.capacity());
@@ -17,7 +17,7 @@ TokenSequence NumerosityReduce(std::span<const int32_t> raw, bool enabled) {
   return out;
 }
 
-std::vector<int32_t> NumerosityExpand(const TokenSequence& reduced,
+std::vector<int32_t> NumerosityExpand(const TokenRuns& reduced,
                                       size_t total_positions) {
   EGI_CHECK(reduced.tokens.size() == reduced.offsets.size());
   std::vector<int32_t> out;

@@ -4,29 +4,18 @@
 #include <span>
 #include <vector>
 
+#include "egi/primitives.h"
+
 namespace egi::sax {
-
-/// A numerosity-reduced token sequence (paper Section 4.2): consecutive
-/// duplicate tokens are collapsed to their first occurrence, and `offsets`
-/// remembers where each surviving token started in the original sliding-
-/// window position space. Example (Eq. 2 -> Eq. 3):
-///   ba,ba,ba,dc,dc,aa,ac,ac  ->  tokens {ba,dc,aa,ac}, offsets {0,3,5,6}.
-struct TokenSequence {
-  std::vector<int32_t> tokens;
-  std::vector<size_t> offsets;
-
-  size_t size() const { return tokens.size(); }
-};
 
 /// Collapses consecutive duplicates of `raw` (token per sliding-window
 /// position). With `enabled == false`, returns the identity sequence with
 /// offsets 0..n-1 (used by the numerosity-reduction ablation).
-TokenSequence NumerosityReduce(std::span<const int32_t> raw,
-                               bool enabled = true);
+TokenRuns NumerosityReduce(std::span<const int32_t> raw, bool enabled = true);
 
 /// Expands a reduced sequence back to per-position tokens (for tests /
 /// round-trip validation). `total_positions` is the original position count.
-std::vector<int32_t> NumerosityExpand(const TokenSequence& reduced,
+std::vector<int32_t> NumerosityExpand(const TokenRuns& reduced,
                                       size_t total_positions);
 
 }  // namespace egi::sax

@@ -23,7 +23,7 @@ struct SaxParams {
 /// token table mapping ids to packed word codes (strings are rendered
 /// lazily, only for display — see sax/word_code.h).
 struct DiscretizedSeries {
-  TokenSequence seq;
+  TokenRuns seq;
   TokenTable table;
   size_t series_length = 0;
   size_t window_length = 0;

@@ -94,6 +94,19 @@ struct HubService::Impl {
     std::atomic<uint64_t> scored_total{0};
     std::atomic<double> last_score{0.0};
     std::atomic<bool> last_scored{false};
+
+    // Rebuilds the admission counters from a just-restored session: the
+    // blob is the source of truth for how many points the stream has
+    // consumed and for its latest score. Caller holds both stream locks or
+    // the exclusive structural lock.
+    void ResetCountersFromSession() {
+      accepted_total = session.total_appended();
+      scored_total.store(accepted_total, std::memory_order_relaxed);
+      const std::vector<double> last = session.RecentScores(1);
+      const bool scored = !last.empty() && !std::isnan(last.back());
+      last_score.store(scored ? last.back() : 0.0, std::memory_order_relaxed);
+      last_scored.store(scored, std::memory_order_relaxed);
+    }
   };
 
   Impl(HubServiceOptions opts, Session session)
@@ -636,13 +649,7 @@ Status HubService::RestoreFromDisk() {
     st->deleted = manifest[i].deleted;
     st->tenant = impl_->GetOrCreateTenant(st->tenant_name);
     if (!st->deleted) st->tenant->live_streams += 1;
-    st->accepted_total = st->session.total_appended();
-    st->scored_total.store(st->accepted_total, std::memory_order_relaxed);
-    const std::vector<double> last = st->session.RecentScores(1);
-    if (!last.empty() && !std::isnan(last.back())) {
-      st->last_score.store(last.back(), std::memory_order_relaxed);
-      st->last_scored.store(true, std::memory_order_relaxed);
-    }
+    st->ResetCountersFromSession();
     impl_->streams.push_back(std::move(st));
   }
   restores->Add(1);
@@ -695,18 +702,7 @@ Status HubService::ImportStreamCheckpoint(size_t stream,
         " still has unscored points; flush first");
   }
   EGI_ASSIGN_OR_RETURN(st.session, StreamSession::Restore(blob));
-  // Reconcile the admission counters from the restored stream: the blob is
-  // the source of truth for how many points this stream has consumed.
-  st.accepted_total = st.session.total_appended();
-  st.scored_total.store(st.accepted_total, std::memory_order_relaxed);
-  const std::vector<double> last = st.session.RecentScores(1);
-  if (!last.empty() && !std::isnan(last.back())) {
-    st.last_score.store(last.back(), std::memory_order_relaxed);
-    st.last_scored.store(true, std::memory_order_relaxed);
-  } else {
-    st.last_score.store(0.0, std::memory_order_relaxed);
-    st.last_scored.store(false, std::memory_order_relaxed);
-  }
+  st.ResetCountersFromSession();
   imports->Add(1);
   Telemetry().journal().Emit(
       "service.stream_import", {{"stream", std::to_string(stream)},

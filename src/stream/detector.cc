@@ -64,7 +64,7 @@ StreamDetector::StreamDetector(StreamDetectorOptions options)
   EGI_CHECK(st.ok()) << "invalid streaming options: " << st.ToString();
 }
 
-ScoredPoint StreamDetector::Append(double value) {
+StreamPoint StreamDetector::Append(double value) {
   // Per-point telemetry is counters only — sharded relaxed adds, never a
   // clock read (the <2% enabled-overhead budget on ingest; latency is
   // measured at batch granularity by Ingest below).
@@ -75,7 +75,7 @@ ScoredPoint StreamDetector::Append(double value) {
   static auto* refit_scored = Telemetry().GetCounter("stream.scores_refit");
   points->Add(1);
 
-  ScoredPoint pt;
+  StreamPoint pt;
   pt.index = appended_;
   pt.value = value;
   ++appended_;
@@ -134,13 +134,13 @@ ScoredPoint StreamDetector::Append(double value) {
   return pt;
 }
 
-std::vector<ScoredPoint> StreamDetector::Ingest(
+std::vector<StreamPoint> StreamDetector::Ingest(
     std::span<const double> values) {
   // One clock pair per batch, amortized over the whole span.
   static auto* batch_hist =
       Telemetry().GetHistogram("stream.ingest_batch_seconds");
   telemetry::ScopedTimer timer(batch_hist);
-  std::vector<ScoredPoint> out;
+  std::vector<StreamPoint> out;
   out.reserve(values.size());
   for (const double v : values) out.push_back(Append(v));
   return out;

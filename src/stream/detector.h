@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/ensemble.h"
+#include "egi/types.h"
 #include "sax/token_table.h"
 #include "serialize/bytes.h"
 #include "stream/stream_window.h"
@@ -13,26 +14,6 @@
 #include "util/status.h"
 
 namespace egi::stream {
-
-/// One scored stream point, as returned by StreamDetector::Append.
-struct ScoredPoint {
-  uint64_t index = 0;   ///< 0-based position in the stream since creation
-  double value = 0.0;   ///< the ingested value
-  double score = 0.0;   ///< ensemble rule density in [0, 1]; LOW = anomalous
-  bool scored = false;  ///< false until the first refit has fitted a model,
-                        ///< and for rejected (non-finite) values
-  bool provisional = false;  ///< true when produced by the incremental path
-                             ///< (superseded by the next refit)
-  bool refit = false;        ///< this append completed a full batch refit
-};
-
-/// When the detector replays the batch algorithm (DESIGN.md "Adaptive
-/// ensembles & refit policy").
-enum class RefitPolicy : uint8_t {
-  kFixed = 0,     ///< every refit_interval appends (the classic cadence)
-  kAdaptive = 1,  ///< drift-gated: stretch the cadence while the provisional
-                  ///< score distribution stays inside a tolerance band
-};
 
 /// Configuration of the online detector. `ensemble.window_length` is the
 /// sliding-window length n; the other EnsembleParams fields are the
@@ -106,12 +87,12 @@ class StreamDetector {
   /// rejected: not buffered, returned with scored == false. O(1) amortized
   /// ring/stats work plus the incremental encode; a refit every
   /// refit_interval points.
-  ScoredPoint Append(double value);
+  StreamPoint Append(double value);
 
-  /// Batch ingest: appends every value in order, returning one ScoredPoint
+  /// Batch ingest: appends every value in order, returning one StreamPoint
   /// per value. No backpressure — the ring evicts the oldest history. Its
   /// latency is the `stream.ingest_batch_seconds` histogram.
-  std::vector<ScoredPoint> Ingest(std::span<const double> values);
+  std::vector<StreamPoint> Ingest(std::span<const double> values);
 
   /// Runs a batch refit now (also called internally every refit_interval
   /// appends). Fails (and leaves the previous model in place) when fewer

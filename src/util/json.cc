@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <utility>
 
 namespace egi {
 
@@ -174,18 +175,51 @@ size_t FindJsonValue(std::string_view body, std::string_view key) {
   return std::string_view::npos;
 }
 
+// Decodes the JSON string literal starting at body[*i] and moves *i past
+// its closing quote. The scan tracks backslashes, so an escaped quote does
+// not end the string.
+bool ReadJsonString(std::string_view body, size_t* i, std::string* out) {
+  if (*i >= body.size() || body[*i] != '"') return false;
+  const size_t start = *i + 1;
+  size_t end = start;
+  while (end < body.size() && body[end] != '"') {
+    end += body[end] == '\\' ? 2 : 1;
+  }
+  if (end >= body.size()) return false;  // unterminated
+  *i = end + 1;
+  return JsonUnescape(body.substr(start, end - start), out);
+}
+
 }  // namespace
 
 bool JsonFindString(std::string_view body, std::string_view key,
                     std::string* out) {
   size_t i = FindJsonValue(body, key);
-  if (i >= body.size() || body[i] != '"') return false;
-  const size_t start = ++i;
-  while (i < body.size() && body[i] != '"') {
-    i += body[i] == '\\' ? 2 : 1;
+  return ReadJsonString(body, &i, out);
+}
+
+bool JsonFindStringArray(std::string_view body, std::string_view key,
+                         std::vector<std::string>* out) {
+  size_t i = FindJsonValue(body, key);
+  if (i >= body.size() || body[i] != '[') return false;
+  i = SkipJsonSpace(body, i + 1);
+  if (i < body.size() && body[i] == ']') {
+    out->clear();
+    return true;
   }
-  if (i >= body.size()) return false;  // unterminated
-  return JsonUnescape(body.substr(start, i - start), out);
+  std::vector<std::string> items;
+  while (true) {
+    std::string item;
+    if (!ReadJsonString(body, &i, &item)) return false;
+    items.push_back(std::move(item));
+    i = SkipJsonSpace(body, i);
+    if (i >= body.size()) return false;  // unterminated array
+    if (body[i] == ']') break;
+    if (body[i] != ',') return false;
+    i = SkipJsonSpace(body, i + 1);
+  }
+  *out = std::move(items);
+  return true;
 }
 
 bool JsonFindUInt(std::string_view body, std::string_view key,

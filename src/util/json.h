@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace egi {
 
@@ -37,6 +38,14 @@ std::string JsonNumber(double value);
 /// round-trip. Shared by the egid daemon and the egid-router.
 bool JsonFindString(std::string_view body, std::string_view key,
                     std::string* out);
+
+/// Extracts the elements of a top-level `"key":["a","b",...]` pair, by the
+/// same key scan as JsonFindString; each element is decoded as JsonFindString
+/// decodes its value. False (and `out` untouched) when the key is missing,
+/// the value is not an array, an element is not a string, or the array or a
+/// string is unterminated. An empty array yields an empty `out`.
+bool JsonFindStringArray(std::string_view body, std::string_view key,
+                         std::vector<std::string>* out);
 
 /// Extracts the unsigned integer value of a top-level `"key":123` pair, by
 /// the same key scan as JsonFindString. False when the key is missing, the

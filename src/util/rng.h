@@ -35,9 +35,6 @@ class Rng {
     return mean + stddev * Gaussian();
   }
 
-  /// True with probability `p`.
-  bool Bernoulli(double p) { return UniformDouble() < p; }
-
   /// Fisher-Yates shuffle (deterministic given the seed).
   template <typename T>
   void Shuffle(std::span<T> values) {

@@ -285,7 +285,7 @@ TEST(AdaptiveRefitTest, StationaryStreamStretchesTheCadence) {
 
   for (const double v : series) {
     fixed.Append(v);
-    const ScoredPoint pt = adaptive.Append(v);
+    const StreamPoint pt = adaptive.Append(v);
     if (pt.scored) {
       EXPECT_TRUE(std::isfinite(pt.score));
       EXPECT_GE(pt.score, 0.0);
@@ -323,8 +323,8 @@ TEST(AdaptiveRefitTest, DeterministicAcrossThreadCounts) {
   StreamDetector a(serial_opt);
   StreamDetector b(threaded_opt);
   for (const double v : series) {
-    const ScoredPoint pa = a.Append(v);
-    const ScoredPoint pb = b.Append(v);
+    const StreamPoint pa = a.Append(v);
+    const StreamPoint pb = b.Append(v);
     ASSERT_EQ(pa.score, pb.score) << "at index " << pa.index;
     ASSERT_EQ(pa.scored, pb.scored);
     ASSERT_EQ(pa.provisional, pb.provisional);
@@ -354,7 +354,7 @@ TEST(AdaptiveRefitTest, DriftSnapsTheCadenceBackToTheFloor) {
     const double v = 4.0 +
                      std::sin(2.0 * M_PI * static_cast<double>(i) / 13.0) +
                      0.1 * rng.Gaussian();
-    const ScoredPoint pt = detector.Append(v);
+    const StreamPoint pt = detector.Append(v);
     if (pt.refit && detector.effective_refit_interval() == 64u) {
       early_refit = true;
       break;
@@ -384,8 +384,8 @@ TEST(AdaptiveRefitTest, SnapshotRoundTripContinuesBitwiseIdentically) {
             original.effective_refit_interval());
 
   for (size_t i = 500; i < series.size(); ++i) {
-    const ScoredPoint pa = original.Append(series[i]);
-    const ScoredPoint pb = restored->Append(series[i]);
+    const StreamPoint pa = original.Append(series[i]);
+    const StreamPoint pb = restored->Append(series[i]);
     ASSERT_EQ(pa.score, pb.score) << "at index " << pa.index;
     ASSERT_EQ(pa.refit, pb.refit);
   }

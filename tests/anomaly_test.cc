@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "core/anomaly.h"
-#include "ts/window.h"
+#include "egi/types.h"
 
 namespace egi::core {
 namespace {
@@ -34,7 +34,7 @@ TEST(FindDensityAnomaliesTest, CandidatesDoNotOverlap) {
   ASSERT_EQ(out.size(), 3u);
   for (size_t i = 0; i < out.size(); ++i) {
     for (size_t j = i + 1; j < out.size(); ++j) {
-      EXPECT_FALSE(ts::Overlaps(out[i].window(), out[j].window()))
+      EXPECT_FALSE(Overlaps(out[i].window(), out[j].window()))
           << i << " vs " << j;
     }
   }

@@ -30,7 +30,7 @@ constexpr size_t kWindow = 82;
 const std::vector<double>& TestSeries() {
   static const std::vector<double> series = [] {
     Rng rng(7);
-    return datasets::MakePlantedSeries(datasets::UcrDataset::kTwoLeadEcg, rng)
+    return datasets::MakePlantedSeries(data::Family::kTwoLeadEcg, rng)
         .values;
   }();
   return series;
@@ -171,8 +171,7 @@ StreamOptions FacadeStreamOptions() {
   return options;
 }
 
-void ExpectSamePoint(const StreamPoint& facade,
-                     const stream::ScoredPoint& direct) {
+void ExpectSamePoint(const StreamPoint& facade, const StreamPoint& direct) {
   ASSERT_EQ(facade.index, direct.index);
   ASSERT_TRUE(SameBits(facade.value, direct.value));
   ASSERT_TRUE(SameBits(facade.score, direct.score)) << "index " << facade.index;
@@ -438,7 +437,7 @@ TEST(FacadeTest, CapabilitiesAreEnforced) {
 TEST(FacadeTest, EveryRegisteredDetectorDetects) {
   Rng rng(11);
   const auto data =
-      datasets::MakePlantedSeries(datasets::UcrDataset::kWafer, rng);
+      datasets::MakePlantedSeries(data::Family::kWafer, rng);
   for (const auto& info : ListDetectors()) {
     auto session = Session::Open(info.name);
     ASSERT_TRUE(session.ok()) << info.name;

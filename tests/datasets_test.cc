@@ -89,10 +89,10 @@ TEST(ShapesTest, NoiseHasRequestedScale) {
 
 // ---------------------------------------------------------------- UCR-like
 
-class UcrFamilyTest : public ::testing::TestWithParam<UcrDataset> {};
+class UcrFamilyTest : public ::testing::TestWithParam<data::Family> {};
 
 TEST_P(UcrFamilyTest, InstanceLengthsMatchSpec) {
-  const auto spec = GetDatasetSpec(GetParam());
+  const auto spec = data::GetFamilyInfo(GetParam());
   Rng rng(1);
   EXPECT_EQ(MakeInstance(GetParam(), false, rng).size(),
             spec.instance_length);
@@ -116,7 +116,7 @@ TEST_P(UcrFamilyTest, AnomalousClassIsStructurallyDifferent) {
   // The mean anomalous instance must differ from the mean normal instance
   // far more than normal instances differ among themselves.
   Rng rng(11);
-  const size_t len = GetDatasetSpec(GetParam()).instance_length;
+  const size_t len = data::GetFamilyInfo(GetParam()).instance_length;
   const int reps = 10;
   std::vector<double> mean_normal(len, 0.0), mean_anom(len, 0.0);
   for (int r = 0; r < reps; ++r) {
@@ -132,22 +132,24 @@ TEST_P(UcrFamilyTest, AnomalousClassIsStructurallyDifferent) {
   const double between = L2(mean_anom, mean_normal);
   EXPECT_GT(between, 1.5 * within)
       << "anomalous class not separable for "
-      << GetDatasetSpec(GetParam()).name;
+      << data::GetFamilyInfo(GetParam()).name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllFamilies, UcrFamilyTest, ::testing::ValuesIn(kAllDatasets),
-    [](const ::testing::TestParamInfo<UcrDataset>& pi) {
-      return std::string(GetDatasetSpec(pi.param).name);
+    AllFamilies, UcrFamilyTest, ::testing::ValuesIn(data::kAllFamilies),
+    [](const ::testing::TestParamInfo<data::Family>& pi) {
+      return std::string(data::GetFamilyInfo(pi.param).name);
     });
 
 TEST(UcrSpecTest, Table3Properties) {
-  EXPECT_EQ(GetDatasetSpec(UcrDataset::kTwoLeadEcg).instance_length, 82u);
-  EXPECT_EQ(GetDatasetSpec(UcrDataset::kEcgFiveDays).instance_length, 132u);
-  EXPECT_EQ(GetDatasetSpec(UcrDataset::kGunPoint).instance_length, 150u);
-  EXPECT_EQ(GetDatasetSpec(UcrDataset::kWafer).instance_length, 150u);
-  EXPECT_EQ(GetDatasetSpec(UcrDataset::kTrace).instance_length, 275u);
-  EXPECT_EQ(GetDatasetSpec(UcrDataset::kStarLightCurve).instance_length,
+  EXPECT_EQ(data::GetFamilyInfo(data::Family::kTwoLeadEcg).instance_length,
+            82u);
+  EXPECT_EQ(data::GetFamilyInfo(data::Family::kEcgFiveDays).instance_length,
+            132u);
+  EXPECT_EQ(data::GetFamilyInfo(data::Family::kGunPoint).instance_length, 150u);
+  EXPECT_EQ(data::GetFamilyInfo(data::Family::kWafer).instance_length, 150u);
+  EXPECT_EQ(data::GetFamilyInfo(data::Family::kTrace).instance_length, 275u);
+  EXPECT_EQ(data::GetFamilyInfo(data::Family::kStarLightCurve).instance_length,
             1024u);
 }
 
@@ -155,7 +157,7 @@ TEST(UcrSpecTest, Table3Properties) {
 
 TEST(PlantedSeriesTest, LengthAndAnomalyWindow) {
   Rng rng(3);
-  const auto s = MakePlantedSeries(UcrDataset::kGunPoint, rng);
+  const auto s = MakePlantedSeries(data::Family::kGunPoint, rng);
   const size_t L = 150;
   EXPECT_EQ(s.values.size(), 21 * L);
   EXPECT_EQ(s.anomaly.length, L);
@@ -169,7 +171,8 @@ TEST(PlantedSeriesTest, AnomalyPositionVariesAcrossSeeds) {
   std::vector<size_t> starts;
   for (uint64_t seed = 0; seed < 12; ++seed) {
     Rng rng(seed);
-    starts.push_back(MakePlantedSeries(UcrDataset::kWafer, rng).anomaly.start);
+    starts.push_back(
+        MakePlantedSeries(data::Family::kWafer, rng).anomaly.start);
   }
   std::sort(starts.begin(), starts.end());
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
@@ -181,7 +184,7 @@ TEST(PlantedSeriesTest, AnomalyContentMatchesAnAnomalousInstance) {
   // the mean normal instance must be large (arbitrary-position planting
   // still inserts one whole anomalous instance).
   Rng rng(9);
-  const auto s = MakePlantedSeries(UcrDataset::kTrace, rng);
+  const auto s = MakePlantedSeries(data::Family::kTrace, rng);
   std::vector<double> planted(
       s.values.begin() + static_cast<ptrdiff_t>(s.anomaly.start),
       s.values.begin() + static_cast<ptrdiff_t>(s.anomaly.end()));
@@ -190,17 +193,17 @@ TEST(PlantedSeriesTest, AnomalyContentMatchesAnAnomalousInstance) {
   const size_t len = 275;
   std::vector<double> mean_normal(len, 0.0);
   for (int r = 0; r < 10; ++r) {
-    const auto inst = MakeInstance(UcrDataset::kTrace, false, rng2);
+    const auto inst = MakeInstance(data::Family::kTrace, false, rng2);
     for (size_t i = 0; i < len; ++i) mean_normal[i] += inst[i] / 10.0;
   }
-  const auto probe = MakeInstance(UcrDataset::kTrace, false, rng2);
+  const auto probe = MakeInstance(data::Family::kTrace, false, rng2);
   EXPECT_GT(L2(planted, mean_normal), 1.5 * L2(probe, mean_normal));
 }
 
 TEST(MultiPlantedSeriesTest, CountsAndNonAdjacency) {
   Rng rng(5);
   const auto s =
-      MakeMultiPlantedSeries(UcrDataset::kStarLightCurve, rng, 42, 2);
+      MakeMultiPlantedSeries(data::Family::kStarLightCurve, rng, 42, 2);
   EXPECT_EQ(s.values.size(), 43008u);  // the paper's Section 7.5 length
   ASSERT_EQ(s.anomalies.size(), 2u);
   const size_t gap = s.anomalies[1].start - s.anomalies[0].start;
@@ -214,7 +217,7 @@ TEST(PowerTest, FridgeSeriesHasRequestedLengthAndAnomalies) {
   const auto s = MakeFridgeFreezerSeries(30000, rng);
   // Whole-cycle trimming: at most one cycle shorter than requested.
   EXPECT_LE(s.values.size(), 30000u);
-  EXPECT_GE(s.values.size(), 30000u - 2 * kFridgeCycleLength);
+  EXPECT_GE(s.values.size(), 30000u - 2 * data::kFridgeCycleLength);
   ASSERT_EQ(s.anomalies.size(), 2u);
   EXPECT_LT(s.anomalies[0].start, s.anomalies[1].start);
   for (double v : s.values) EXPECT_GE(v, 0.0);

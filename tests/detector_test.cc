@@ -4,18 +4,18 @@
 
 #include "core/detector.h"
 #include "datasets/planted.h"
-#include "ts/window.h"
+#include "egi/types.h"
 #include "util/rng.h"
 
 namespace egi::core {
 namespace {
 
-datasets::PlantedSeries WaferSeries(uint64_t seed) {
+data::PlantedSeries WaferSeries(uint64_t seed) {
   Rng rng(seed);
-  return datasets::MakePlantedSeries(datasets::UcrDataset::kWafer, rng);
+  return datasets::MakePlantedSeries(data::Family::kWafer, rng);
 }
 
-void ExpectValidCandidates(const std::vector<Anomaly>& cands,
+void ExpectValidCandidates(const std::vector<Detection>& cands,
                            size_t series_len, size_t window) {
   EXPECT_LE(cands.size(), 3u);
   EXPECT_FALSE(cands.empty());
@@ -25,7 +25,7 @@ void ExpectValidCandidates(const std::vector<Anomaly>& cands,
   }
   for (size_t i = 0; i < cands.size(); ++i) {
     for (size_t j = i + 1; j < cands.size(); ++j) {
-      EXPECT_FALSE(ts::Overlaps(cands[i].window(), cands[j].window()));
+      EXPECT_FALSE(Overlaps(cands[i].window(), cands[j].window()));
     }
   }
   // Sorted most-anomalous first.
@@ -132,7 +132,7 @@ TEST(DiscordDetectorTest, FindsPlantedWaferAnomaly) {
   ASSERT_TRUE(r.ok());
   bool hit = false;
   for (const auto& c : *r) {
-    if (ts::Overlaps(c.window(), s.anomaly)) hit = true;
+    if (Overlaps(c.window(), s.anomaly)) hit = true;
   }
   EXPECT_TRUE(hit);
 }

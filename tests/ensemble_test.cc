@@ -326,7 +326,7 @@ TEST(EnsembleTest, WordCountsMatchAFreshEncode) {
 TEST(EnsembleTest, FindsPlantedAnomalyOnEasyData) {
   Rng rng(2024);
   auto planted =
-      datasets::MakePlantedSeries(datasets::UcrDataset::kTrace, rng);
+      datasets::MakePlantedSeries(data::Family::kTrace, rng);
   EnsembleParams p;
   p.window_length = 275;
   p.ensemble_size = 30;

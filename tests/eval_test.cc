@@ -34,27 +34,27 @@ TEST(ScoreTest, BoundaryJustInside) {
 }
 
 TEST(BestScoreTest, TakesMaxOverCandidates) {
-  std::vector<core::Anomaly> cands;
-  core::Anomaly a;
+  std::vector<Detection> cands;
+  Detection a;
   a.position = 130;  // Score 0.4
   cands.push_back(a);
   a.position = 105;  // Score 0.9
   cands.push_back(a);
   a.position = 500;  // Score 0
   cands.push_back(a);
-  EXPECT_DOUBLE_EQ(BestScore(cands, ts::Window{100, 50}), 0.9);
+  EXPECT_DOUBLE_EQ(BestScore(cands, Range{100, 50}), 0.9);
 }
 
 TEST(BestScoreTest, EmptyCandidatesScoreZero) {
-  EXPECT_DOUBLE_EQ(BestScore({}, ts::Window{10, 5}), 0.0);
+  EXPECT_DOUBLE_EQ(BestScore({}, Range{10, 5}), 0.0);
 }
 
 TEST(HitTest, HitIffPositiveScore) {
-  std::vector<core::Anomaly> cands(1);
+  std::vector<Detection> cands(1);
   cands[0].position = 149;
-  EXPECT_TRUE(IsHit(cands, ts::Window{100, 50}));
+  EXPECT_TRUE(IsHit(cands, Range{100, 50}));
   cands[0].position = 150;
-  EXPECT_FALSE(IsHit(cands, ts::Window{100, 50}));
+  EXPECT_FALSE(IsHit(cands, Range{100, 50}));
 }
 
 // ------------------------------------------------------------------- W/T/L
@@ -136,9 +136,9 @@ TEST(MethodsTest, FactoryBuildsEveryMethod) {
 
 TEST(ExperimentTest, EvaluationSeriesAreDeterministic) {
   const auto a =
-      MakeEvaluationSeries(datasets::UcrDataset::kWafer, 3, 2020);
+      MakeEvaluationSeries(data::Family::kWafer, 3, 2020);
   const auto b =
-      MakeEvaluationSeries(datasets::UcrDataset::kWafer, 3, 2020);
+      MakeEvaluationSeries(data::Family::kWafer, 3, 2020);
   ASSERT_EQ(a.size(), 3u);
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].values, b[i].values);
@@ -148,9 +148,9 @@ TEST(ExperimentTest, EvaluationSeriesAreDeterministic) {
 
 TEST(ExperimentTest, LargerCountExtendsSameSeries) {
   const auto small =
-      MakeEvaluationSeries(datasets::UcrDataset::kTrace, 2, 7);
+      MakeEvaluationSeries(data::Family::kTrace, 2, 7);
   const auto large =
-      MakeEvaluationSeries(datasets::UcrDataset::kTrace, 4, 7);
+      MakeEvaluationSeries(data::Family::kTrace, 4, 7);
   EXPECT_EQ(small[0].values, large[0].values);
   EXPECT_EQ(small[1].values, large[1].values);
 }
@@ -158,7 +158,7 @@ TEST(ExperimentTest, LargerCountExtendsSameSeries) {
 TEST(ExperimentTest, RunsEndToEndOnSmallConfig) {
   ExperimentConfig cfg;
   cfg.series_per_dataset = 2;
-  const datasets::UcrDataset ds[] = {datasets::UcrDataset::kGunPoint};
+  const data::Family ds[] = {data::Family::kGunPoint};
   const auto all = PaperMethods(8, exec::Parallelism::FromEnv().threads);
   const PaperMethod methods[] = {all[0], all[2]};  // Proposed, GI-Fix
   const auto result = RunExperiment(ds, methods, cfg);

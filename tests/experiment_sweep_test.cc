@@ -12,7 +12,7 @@ namespace {
 // Cross-module consistency sweep: the experiment runner must uphold its
 // invariants for every dataset family and window fraction the paper sweeps
 // (Tables 4-5 and 13-14 rely on these).
-using SweepParam = std::tuple<datasets::UcrDataset, double>;
+using SweepParam = std::tuple<data::Family, double>;
 
 class ExperimentSweepTest : public ::testing::TestWithParam<SweepParam> {};
 
@@ -23,7 +23,7 @@ TEST_P(ExperimentSweepTest, RunnerInvariants) {
   cfg.series_per_dataset = 3;
   cfg.window_fraction = fraction;
 
-  const datasets::UcrDataset ds[] = {dataset};
+  const data::Family ds[] = {dataset};
   const auto all = PaperMethods(10, exec::Parallelism::FromEnv().threads);
   const PaperMethod methods[] = {all[0], all[2]};  // Proposed, GI-Fix
   const auto result = RunExperiment(ds, methods, cfg);
@@ -54,19 +54,19 @@ TEST_P(ExperimentSweepTest, RunnerInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllFamiliesAndWindows, ExperimentSweepTest,
-    ::testing::Combine(::testing::ValuesIn(datasets::kAllDatasets),
+    ::testing::Combine(::testing::ValuesIn(data::kAllFamilies),
                        ::testing::Values(0.6, 0.8, 1.0)),
     [](const ::testing::TestParamInfo<SweepParam>& param_info) {
       const auto d = std::get<0>(param_info.param);
       const auto f = std::get<1>(param_info.param);
-      return std::string(datasets::GetDatasetSpec(d).name) + "_w" +
+      return std::string(data::GetFamilyInfo(d).name) + "_w" +
              std::to_string(static_cast<int>(f * 100));
     });
 
 TEST(ExperimentSweepTest, ResultsAreReproducibleAcrossRuns) {
   ExperimentConfig cfg;
   cfg.series_per_dataset = 2;
-  const datasets::UcrDataset ds[] = {datasets::UcrDataset::kWafer};
+  const data::Family ds[] = {data::Family::kWafer};
   const auto all = PaperMethods(8, exec::Parallelism::FromEnv().threads);
   const auto methods = std::span(all).first(1);  // Proposed
 

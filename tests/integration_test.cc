@@ -5,8 +5,7 @@
 #include "core/detector.h"
 #include "datasets/planted.h"
 #include "datasets/power.h"
-#include "eval/metrics.h"
-#include "ts/window.h"
+#include "egi/metrics.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -17,11 +16,11 @@ namespace {
 // dataset families with a useful hit rate (the paper's Table 5 reports 0.68+
 // everywhere; we assert a conservative floor to stay robust to seeds).
 class EndToEndFamilyTest
-    : public ::testing::TestWithParam<datasets::UcrDataset> {};
+    : public ::testing::TestWithParam<data::Family> {};
 
 TEST_P(EndToEndFamilyTest, EnsembleHitsPlantedAnomalies) {
   const auto dataset = GetParam();
-  const size_t window = datasets::GetDatasetSpec(dataset).instance_length;
+  const size_t window = data::GetFamilyInfo(dataset).instance_length;
   const int series_count = 4;
 
   core::EnsembleParams p;
@@ -35,26 +34,26 @@ TEST_P(EndToEndFamilyTest, EnsembleHitsPlantedAnomalies) {
     const auto s = datasets::MakePlantedSeries(dataset, rng);
     auto r = detector.Detect(s.values, window, 3);
     ASSERT_TRUE(r.ok()) << r.status();
-    if (eval::IsHit(*r, s.anomaly)) ++hits;
+    if (IsHit(*r, s.anomaly)) ++hits;
   }
   EXPECT_GE(hits, series_count / 2)
-      << datasets::GetDatasetSpec(dataset).name << ": only " << hits << "/"
+      << data::GetFamilyInfo(dataset).name << ": only " << hits << "/"
       << series_count << " hits";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, EndToEndFamilyTest,
-    ::testing::ValuesIn(datasets::kAllDatasets),
-    [](const ::testing::TestParamInfo<datasets::UcrDataset>& pi) {
-      return std::string(datasets::GetDatasetSpec(pi.param).name);
+    ::testing::ValuesIn(data::kAllFamilies),
+    [](const ::testing::TestParamInfo<data::Family>& pi) {
+      return std::string(data::GetFamilyInfo(pi.param).name);
     });
 
 TEST(EndToEndTest, EnsembleBeatsSingleRandomRun) {
   // The paper's core claim: combining many random (w, a) draws beats a
   // single random draw. Aggregated over two parameter-sensitive families so
   // the comparison is statistically stable.
-  const datasets::UcrDataset families[] = {
-      datasets::UcrDataset::kGunPoint, datasets::UcrDataset::kStarLightCurve};
+  const data::Family families[] = {
+      data::Family::kGunPoint, data::Family::kStarLightCurve};
 
   core::EnsembleParams p;
   p.ensemble_size = 30;
@@ -63,13 +62,13 @@ TEST(EndToEndTest, EnsembleBeatsSingleRandomRun) {
 
   double ensemble_total = 0.0, random_total = 0.0;
   for (const auto dataset : families) {
-    const size_t window = datasets::GetDatasetSpec(dataset).instance_length;
+    const size_t window = data::GetFamilyInfo(dataset).instance_length;
     for (int i = 0; i < 6; ++i) {
       Rng rng(7000 + static_cast<uint64_t>(i));
       const auto s = datasets::MakePlantedSeries(dataset, rng);
       auto re = ensemble.Detect(s.values, window, 3);
       ASSERT_TRUE(re.ok());
-      ensemble_total += eval::BestScore(*re, s.anomaly);
+      ensemble_total += BestScore(*re, s.anomaly);
       // A single random draw has huge variance; compare against its
       // expectation (mean of several independent draws per series).
       double series_random = 0.0;
@@ -77,7 +76,7 @@ TEST(EndToEndTest, EnsembleBeatsSingleRandomRun) {
       for (int d = 0; d < draws; ++d) {
         auto rr = random_gi.Detect(s.values, window, 3);
         ASSERT_TRUE(rr.ok());
-        series_random += eval::BestScore(*rr, s.anomaly);
+        series_random += BestScore(*rr, s.anomaly);
       }
       random_total += series_random / draws;
     }
@@ -95,14 +94,14 @@ TEST(EndToEndTest, CaseStudyFindsUnusualFridgeCycles) {
   core::EnsembleParams p;
   p.ensemble_size = 25;
   core::EnsembleGiDetector detector(p);
-  auto r = detector.Detect(s.values, datasets::kFridgeCycleLength, 2);
+  auto r = detector.Detect(s.values, data::kFridgeCycleLength, 2);
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->size(), 2u);
 
   int found = 0;
   for (const auto& gt : s.anomalies) {
     for (const auto& c : *r) {
-      if (ts::Overlaps(c.window(), gt)) {
+      if (Overlaps(c.window(), gt)) {
         ++found;
         break;
       }
@@ -115,7 +114,7 @@ TEST(EndToEndTest, MultipleAnomaliesDetected) {
   // Section 7.5 in miniature: two planted anomalies, top-3 candidates.
   Rng rng(21);
   const auto s = datasets::MakeMultiPlantedSeries(
-      datasets::UcrDataset::kStarLightCurve, rng, 20, 2);
+      data::Family::kStarLightCurve, rng, 20, 2);
 
   core::EnsembleParams p;
   p.ensemble_size = 25;
@@ -126,7 +125,7 @@ TEST(EndToEndTest, MultipleAnomaliesDetected) {
   int found = 0;
   for (const auto& gt : s.anomalies) {
     for (const auto& c : *r) {
-      if (ts::Overlaps(c.window(), gt)) {
+      if (Overlaps(c.window(), gt)) {
         ++found;
         break;
       }

@@ -5,7 +5,7 @@
 
 #include "core/motif.h"
 #include "datasets/physio.h"
-#include "ts/window.h"
+#include "egi/types.h"
 #include "util/rng.h"
 
 namespace egi::core {
@@ -132,10 +132,10 @@ TEST(MotifTest, MotifsAndAnomaliesAreComplementary) {
   auto motifs = DiscoverMotifs(series, DefaultParams(100));
   ASSERT_TRUE(motifs.ok());
   ASSERT_FALSE(motifs->empty());
-  const ts::Window anomaly{1000, 100};
+  const Range anomaly{1000, 100};
   size_t overlapping = 0;
   for (const auto& inst : (*motifs)[0].instances) {
-    if (ts::OverlapLength(inst, anomaly) > 50) ++overlapping;
+    if (OverlapLength(inst, anomaly) > 50) ++overlapping;
   }
   EXPECT_EQ(overlapping, 0u)
       << "top motif claims the anomalous region as a repeat";

@@ -222,7 +222,7 @@ TEST(ParallelDeterminismTest, ExperimentScoresIdenticalAcrossThreads) {
   cfg.series_per_dataset = 2;
   cfg.parallelism = exec::Parallelism::Serial();
 
-  const datasets::UcrDataset ds[] = {datasets::UcrDataset::kWafer};
+  const data::Family ds[] = {data::Family::kWafer};
   const auto serial = eval::RunExperiment(ds, methods(1), cfg);
 
   cfg.parallelism = exec::Parallelism::Fixed(4);

@@ -542,6 +542,20 @@ TEST(RouterMigrationTest, ShardsEndpointInstallsMapOverHttp) {
   EXPECT_EQ(rig.router().map_version(), 2u);
 }
 
+TEST(RouterTest, ShardsBodyFindsTheKeyAfterItAppearsAsAValue) {
+  // "shards" first appears as another field's value; the map must still
+  // install from the real key, with JSON whitespace around its array.
+  RouterRig rig(2, 1, 1);
+  const std::string body =
+      "{\"note\":\"shards\", \"shards\" : [ \"shard0:80:81\" ,"
+      " \"shard1:80:81\" ]}";
+  const auto installed = rig.Http("POST", "/v1/shards", "", body);
+  EXPECT_EQ(installed.status, 200) << installed.body;
+  EXPECT_EQ(rig.router().map_version(), 2u);
+  const auto map = rig.Http("GET", "/v1/shards");
+  EXPECT_NE(map.body.find("\"shard1:80:81\""), std::string::npos);
+}
+
 // ---------------------------------------------- per-stream export / import
 
 /// Occupies every worker of the shared exec pool until destroyed, so a
@@ -629,6 +643,46 @@ TEST(StreamCheckpointTest, ExportRequiresDrainedQueueThenRoundTrips) {
   ASSERT_TRUE(src_scores.ok());
   ASSERT_TRUE(dst_scores.ok());
   EXPECT_EQ(*src_scores, *dst_scores);  // bitwise-identical continuation
+}
+
+TEST(StreamCheckpointTest, ImportOfUnfittedBlobClearsTheLastScore) {
+  // Source: fewer points than one refit interval, so nothing was scored.
+  auto source = service::HubService::Create(ShardOptions(1));
+  ASSERT_TRUE(source.ok());
+  auto stream = (*source)->CreateStream("t", "x");
+  ASSERT_TRUE(stream.ok());
+  Rng rng(11);
+  service::IngestRequest request;
+  request.stream = *stream;
+  request.values.resize(20);
+  for (double& v : request.values) v = rng.UniformDouble();
+  ASSERT_EQ((*source)->HandleIngest(request).type, service::FrameType::kAck);
+  (*source)->Flush();
+  ASSERT_FALSE((*source)->Describe(*stream)->stats.fitted);
+  auto blob = (*source)->ExportStreamCheckpoint(*stream);
+  ASSERT_TRUE(blob.ok()) << blob.status();
+
+  // Target: past its first refit, so it has a last score to replace.
+  auto target = service::HubService::Create(ShardOptions(1));
+  ASSERT_TRUE(target.ok());
+  auto target_stream = (*target)->CreateStream("t", "y");
+  ASSERT_TRUE(target_stream.ok());
+  request.stream = *target_stream;
+  request.values.resize(100);
+  for (double& v : request.values) v = rng.UniformDouble();
+  ASSERT_EQ((*target)->HandleIngest(request).type, service::FrameType::kAck);
+  (*target)->Flush();
+  ASSERT_TRUE((*target)->Describe(*target_stream)->last_scored);
+
+  ASSERT_TRUE(
+      (*target)->ImportStreamCheckpoint(*target_stream, *blob).ok());
+  auto info = (*target)->Describe(*target_stream);
+  ASSERT_TRUE(info.ok());
+  EXPECT_FALSE(info->last_scored);
+  EXPECT_EQ(info->last_score, 0.0);
+  EXPECT_EQ(info->accepted_total, 20u);
+  EXPECT_EQ(info->scored_total, 20u);
+  EXPECT_EQ(info->stats.total_appended, 20u);
 }
 
 }  // namespace

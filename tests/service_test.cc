@@ -805,6 +805,7 @@ TEST_F(ServiceTest, CheckpointUnderConcurrentIngest) {
   const auto series = datasets::MakeRandomWalk(400, rng);
 
   std::atomic<bool> done{false};
+  std::atomic<bool> checkpointed{false};
   std::thread producer([&] {
     for (size_t off = 0; off < series.size(); off += 20) {
       const size_t len = std::min<size_t>(20, series.size() - off);
@@ -818,6 +819,9 @@ TEST_F(ServiceTest, CheckpointUnderConcurrentIngest) {
         // end from the ack the service reports, not assumed.
         service->HandleIngest(request);
       }
+      // Send the rest only once the first checkpoint has returned, so at
+      // least one is always taken while points are in flight.
+      checkpointed.wait(false);
     }
     done.store(true);
   });
@@ -825,6 +829,8 @@ TEST_F(ServiceTest, CheckpointUnderConcurrentIngest) {
   while (!done.load()) {
     ASSERT_TRUE(service->CheckpointNow().ok());
     ++checkpoints;
+    checkpointed.store(true);
+    checkpointed.notify_one();
   }
   producer.join();
   EXPECT_GE(checkpoints, 1u);

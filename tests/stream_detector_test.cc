@@ -39,7 +39,7 @@ TEST(StreamDetectorTest, ReplayEquivalentToBatchAtEveryRefit) {
 
   size_t refits_seen = 0;
   for (const double v : series) {
-    const ScoredPoint pt = detector.Append(v);
+    const StreamPoint pt = detector.Append(v);
     if (!pt.refit) continue;
     ++refits_seen;
     const auto buffered = detector.BufferSnapshot();
@@ -64,7 +64,7 @@ TEST(StreamDetectorTest, UnscoredUntilFirstRefitThenProvisional) {
   const auto series = TestSeries(200);
 
   for (size_t i = 0; i < series.size(); ++i) {
-    const ScoredPoint pt = detector.Append(series[i]);
+    const StreamPoint pt = detector.Append(series[i]);
     EXPECT_EQ(pt.index, i);
     EXPECT_EQ(pt.value, series[i]);
     if (i + 1 < opt.refit_interval) {
@@ -108,11 +108,11 @@ TEST(StreamDetectorTest, ScoresBeforeFirstRefitAreNaNInSnapshot) {
 TEST(StreamDetectorTest, RejectsNonFiniteWithoutBuffering) {
   StreamDetector detector(SmallOptions());
   detector.Append(1.0);
-  const ScoredPoint nan_pt =
+  const StreamPoint nan_pt =
       detector.Append(std::numeric_limits<double>::quiet_NaN());
   EXPECT_FALSE(nan_pt.scored);
   EXPECT_EQ(nan_pt.index, 1u);
-  const ScoredPoint inf_pt =
+  const StreamPoint inf_pt =
       detector.Append(std::numeric_limits<double>::infinity());
   EXPECT_FALSE(inf_pt.scored);
   EXPECT_EQ(inf_pt.index, 2u);
@@ -145,8 +145,8 @@ TEST(StreamDetectorTest, DeterministicAcrossInstances) {
   StreamDetector b(opt);
   const auto series = TestSeries(300, /*seed=*/5);
   for (const double v : series) {
-    const ScoredPoint pa = a.Append(v);
-    const ScoredPoint pb = b.Append(v);
+    const StreamPoint pa = a.Append(v);
+    const StreamPoint pb = b.Append(v);
     ASSERT_EQ(pa.index, pb.index);
     ASSERT_EQ(pa.score, pb.score);
     ASSERT_EQ(pa.scored, pb.scored);
@@ -164,7 +164,7 @@ TEST(StreamDetectorTest, IngestMatchesPointwiseAppend) {
   const auto batch = a.Ingest(series);
   ASSERT_EQ(batch.size(), series.size());
   for (size_t i = 0; i < series.size(); ++i) {
-    const ScoredPoint pt = b.Append(series[i]);
+    const StreamPoint pt = b.Append(series[i]);
     EXPECT_EQ(batch[i].score, pt.score);
     EXPECT_EQ(batch[i].scored, pt.scored);
     EXPECT_EQ(batch[i].refit, pt.refit);

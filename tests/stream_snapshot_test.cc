@@ -50,10 +50,9 @@ std::vector<double> TestSeries(size_t length, uint64_t seed = 2020) {
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
-// Bitwise comparison of two scored points (score NaN bits included); works
-// for stream::ScoredPoint and the façade's StreamPoint alike.
-template <typename Point>
-void ExpectPointsIdentical(const Point& a, const Point& b, size_t at) {
+// Bitwise comparison of two scored points (score NaN bits included).
+void ExpectPointsIdentical(const StreamPoint& a, const StreamPoint& b,
+                           size_t at) {
   ASSERT_EQ(a.index, b.index) << "point " << at;
   ASSERT_EQ(Bits(a.value), Bits(b.value)) << "point " << at;
   ASSERT_EQ(Bits(a.score), Bits(b.score)) << "point " << at;
@@ -116,8 +115,8 @@ void RunContinuationCase(size_t prefix_len, size_t total_len,
   ExpectDetectorsIdentical(original, *restored);
 
   for (size_t i = prefix_len; i < series.size(); ++i) {
-    const ScoredPoint pa = original.Append(series[i]);
-    const ScoredPoint pb = restored->Append(series[i]);
+    const StreamPoint pa = original.Append(series[i]);
+    const StreamPoint pb = restored->Append(series[i]);
     ExpectPointsIdentical(pa, pb, i);
   }
   ExpectDetectorsIdentical(original, *restored);
@@ -171,8 +170,8 @@ TEST(StreamSnapshotTest, ContinuationWithRejectedValuesInHistory) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ExpectDetectorsIdentical(original, *restored);
   for (size_t i = 150; i < series.size(); ++i) {
-    const ScoredPoint pa = original.Append(series[i]);
-    const ScoredPoint pb = restored->Append(series[i]);
+    const StreamPoint pa = original.Append(series[i]);
+    const StreamPoint pb = restored->Append(series[i]);
     ExpectPointsIdentical(pa, pb, i);
   }
 }

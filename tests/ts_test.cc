@@ -4,9 +4,9 @@
 #include <tuple>
 #include <vector>
 
+#include "egi/types.h"
 #include "ts/prefix_stats.h"
 #include "ts/stats.h"
-#include "ts/window.h"
 #include "util/rng.h"
 
 namespace egi::ts {
@@ -220,26 +220,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PrefixStatsPropertyTest,
 
 // ----------------------------------------------------------------- window
 
-TEST(WindowTest, NumSlidingWindows) {
-  EXPECT_EQ(NumSlidingWindows(10, 3), 8u);
-  EXPECT_EQ(NumSlidingWindows(10, 10), 1u);
-  EXPECT_EQ(NumSlidingWindows(10, 11), 0u);
-  EXPECT_EQ(NumSlidingWindows(10, 0), 0u);
-}
-
 TEST(WindowTest, OverlapsAndLength) {
-  Window a{0, 10}, b{5, 10}, c{10, 5};
+  Range a{0, 10}, b{5, 10}, c{10, 5};
   EXPECT_TRUE(Overlaps(a, b));
   EXPECT_FALSE(Overlaps(a, c));  // half-open ranges touch but do not overlap
   EXPECT_EQ(OverlapLength(a, b), 5u);
   EXPECT_EQ(OverlapLength(a, c), 0u);
-}
-
-TEST(WindowTest, IoU) {
-  Window a{0, 10}, b{5, 10};
-  EXPECT_DOUBLE_EQ(WindowIoU(a, b), 5.0 / 15.0);
-  EXPECT_DOUBLE_EQ(WindowIoU(a, a), 1.0);
-  EXPECT_DOUBLE_EQ(WindowIoU(a, Window{20, 5}), 0.0);
 }
 
 }  // namespace

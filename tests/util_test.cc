@@ -9,6 +9,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/env.h"
@@ -474,6 +476,36 @@ TEST(JsonTest, FindUIntScansKeysAndRejectsOverflow) {
     EXPECT_FALSE(JsonFindUInt(body, "a", &v)) << body;
   }
   EXPECT_EQ(v, 7u);  // untouched on failure
+}
+
+TEST(JsonTest, FindStringArrayReadsFlatArrays) {
+  std::vector<std::string> out;
+  ASSERT_TRUE(JsonFindStringArray(R"({"a":["x","y:1"]})", "a", &out));
+  EXPECT_EQ(out, (std::vector<std::string>{"x", "y:1"}));
+  ASSERT_TRUE(
+      JsonFindStringArray("{ \"a\" :\n[ \"x\" ,\t\"y\" ] }", "a", &out));
+  EXPECT_EQ(out, (std::vector<std::string>{"x", "y"}));
+  ASSERT_TRUE(JsonFindStringArray(R"({"a":[ ]})", "a", &out));
+  EXPECT_TRUE(out.empty());
+  // Elements decode like JsonFindString values: escaped quote, backslash
+  // and \u escapes, and a "]" or "," inside a string ends nothing.
+  ASSERT_TRUE(JsonFindStringArray(R"({"a":["q\"],\\","\u00e9"]})", "a",
+                                  &out));
+  EXPECT_EQ(out, (std::vector<std::string>{"q\"],\\", "\xc3\xa9"}));
+  // "a" first appears as a value; the scan skips to the real key.
+  ASSERT_TRUE(JsonFindStringArray(R"({"b":"a","a":["z"]})", "a", &out));
+  EXPECT_EQ(out, (std::vector<std::string>{"z"}));
+}
+
+TEST(JsonTest, FindStringArrayRejectsMalformed) {
+  std::vector<std::string> out = {"kept"};
+  for (const char* body :
+       {R"({"b":["x"]})", R"({"a":"x"})", R"({"a":[1]})", R"({"a":["x",2]})",
+        R"({"a":["x",]})", R"({"a":["x" "y"]})", R"({"a":["x)",
+        R"({"a":["x")", R"({"a":[)", R"({"a":["x\q"]})"}) {
+    EXPECT_FALSE(JsonFindStringArray(body, "a", &out)) << body;
+  }
+  EXPECT_EQ(out, (std::vector<std::string>{"kept"}));  // untouched on failure
 }
 
 TEST(TableTest, FormatDoubleFixedPrecision) {
