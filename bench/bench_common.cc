@@ -3,10 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <ostream>
 
-#include "core/detector.h"
-#include "egi/metrics.h"
+#include "core/ensemble.h"
 #include "egi/registry.h"
 #include "egi/session.h"
 #include "util/env.h"
@@ -17,11 +17,27 @@ namespace egi::bench {
 BenchSettings SettingsFromEnv() {
   BenchSettings s;
   s.quick = GetEnvBool("EGI_BENCH_QUICK", false);
-  s.series_per_dataset = static_cast<int>(
-      GetEnvInt("EGI_SERIES_PER_DATASET", s.quick ? 8 : 25));
+  s.series_per_dataset =
+      GetEnvCount("EGI_SERIES_PER_DATASET", s.quick ? 8 : 25);
   s.data_seed = static_cast<uint64_t>(GetEnvInt("EGI_DATA_SEED", 2020));
-  s.ensemble_size = static_cast<int>(GetEnvInt("EGI_ENSEMBLE_SIZE", 50));
+  s.ensemble_size = GetEnvCount("EGI_ENSEMBLE_SIZE", 50);
   return s;
+}
+
+int GetEnvCount(const char* name, int fallback) {
+  const int64_t value = GetEnvInt(name, fallback);
+  if (value < 1) {
+    std::fprintf(stderr, "%s must be >= 1, got %lld\n", name,
+                 static_cast<long long>(value));
+    std::exit(2);
+  }
+  if (value > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "%s must be <= %d, got %lld\n", name,
+                 std::numeric_limits<int>::max(),
+                 static_cast<long long>(value));
+    std::exit(2);
+  }
+  return static_cast<int>(value);
 }
 
 std::vector<eval::PaperMethod> PaperMethods(const BenchSettings& settings) {
@@ -97,53 +113,6 @@ void PrintPreamble(const std::string& what, const BenchSettings& settings) {
 
 std::string DatasetName(data::Family dataset) {
   return std::string(data::GetFamilyInfo(dataset).name);
-}
-
-std::vector<double> EnsembleScoresForRange(data::Family dataset,
-                                           const BenchSettings& settings,
-                                           int wmax, int amax) {
-  const auto series_set = eval::MakeEvaluationSeries(
-      dataset, settings.series_per_dataset, settings.data_seed);
-  const size_t window = data::GetFamilyInfo(dataset).instance_length;
-
-  core::EnsembleParams p;
-  p.wmax = wmax;
-  p.amax = amax;
-  p.ensemble_size = settings.ensemble_size;
-  core::EnsembleGiDetector detector(p);
-
-  std::vector<double> scores;
-  scores.reserve(series_set.size());
-  for (const auto& s : series_set) {
-    auto r = detector.Detect(s.values, window, 3);
-    EGI_CHECK(r.ok()) << r.status().ToString();
-    scores.push_back(BestScore(*r, s.anomaly));
-  }
-  return scores;
-}
-
-BaselinePick BestGiBaseline(data::Family dataset,
-                            const BenchSettings& settings) {
-  eval::ExperimentConfig cfg;
-  cfg.series_per_dataset = settings.series_per_dataset;
-  cfg.data_seed = settings.data_seed;
-
-  const data::Family ds[] = {dataset};
-  const auto methods = PaperMethods(settings);
-  const auto gi_baselines = std::span(methods).subspan(1, 3);
-  const auto result = eval::RunExperiment(ds, gi_baselines, cfg);
-
-  BaselinePick best;
-  double best_score = -1.0;
-  for (const auto& method : gi_baselines) {
-    const auto& agg = result.Get(dataset, method.label);
-    if (agg.AverageScore() > best_score) {
-      best_score = agg.AverageScore();
-      best.label = method.label;
-      best.agg = agg;
-    }
-  }
-  return best;
 }
 
 eval::ExperimentResult RunMainExperiment(const BenchSettings& settings) {

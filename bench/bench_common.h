@@ -29,7 +29,14 @@ struct BenchSettings {
   bool quick = false;
 };
 
+/// Reads the settings above; exits like GetEnvCount on a count below 1.
 BenchSettings SettingsFromEnv();
+
+/// Reads a sizing variable (a count of series, members or repetitions):
+/// unset or unparsable keeps `fallback`. A value below 1 prints
+/// "<name> must be >= 1, got <v>" to stderr and exits with status 2; so
+/// does a value above INT_MAX, with "must be <= 2147483647".
+int GetEnvCount(const char* name, int fallback);
 
 /// The paper's five methods at these settings (eval::PaperMethods): row 0
 /// is Proposed, rows 1-3 the GI baselines, row 4 Discord.
@@ -51,21 +58,6 @@ bool HandleStandardFlags(int argc, char** argv);
 void PrintPreamble(const std::string& what, const BenchSettings& settings);
 
 std::string DatasetName(data::Family dataset);
-
-/// Per-series best-of-top-3 ensemble Scores on one dataset for an arbitrary
-/// (wmax, amax) range (used by the Table 7/8/9 sweeps).
-std::vector<double> EnsembleScoresForRange(data::Family dataset,
-                                           const BenchSettings& settings,
-                                           int wmax, int amax);
-
-/// The paper's Tables 7-9 baseline: the best of GI-Random / GI-Fix /
-/// GI-Select on this dataset (by average Score).
-struct BaselinePick {
-  std::string label;
-  eval::MethodAggregate agg;
-};
-BaselinePick BestGiBaseline(data::Family dataset,
-                            const BenchSettings& settings);
 
 /// Runs the main 5-method experiment of Section 7.1 (Tables 4/5/6, Fig 10).
 eval::ExperimentResult RunMainExperiment(const BenchSettings& settings);

@@ -14,14 +14,13 @@
 #include "core/ensemble.h"
 #include "egi/metrics.h"
 #include "ts/stats.h"
-#include "util/env.h"
 
 int main(int argc, char** argv) {
   if (egi::bench::HandleStandardFlags(argc, argv)) return 0;
   using namespace egi;
   const auto settings = bench::SettingsFromEnv();
-  const int reps = static_cast<int>(
-      GetEnvInt("EGI_TAB12_REPS", settings.quick ? 5 : 20));
+  const int reps =
+      bench::GetEnvCount("EGI_TAB12_REPS", settings.quick ? 5 : 20);
   bench::PrintPreamble("Table 12: average Score (mean and std over " +
                            std::to_string(reps) + " repetitions) vs tau",
                        settings);
@@ -55,7 +54,9 @@ int main(int argc, char** argv) {
 
         for (size_t ti = 0; ti < taus.size(); ++ti) {
           const auto ensemble = core::CombineMemberCurves(
-              *curves, taus[ti], p.combine, p.normalize, true);
+              *curves, {.selectivity = taus[ti],
+                        .combine = p.combine,
+                        .normalize = p.normalize});
           const auto anomalies =
               core::FindDensityAnomalies(ensemble, window, 3);
           avg_scores[ti][static_cast<size_t>(rep)] +=

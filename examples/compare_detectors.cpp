@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nNote: one series is an anecdote — bench/tab04_score reruns the\n"
+      "\nNote: one series is an anecdote — bench/tab04_06_main reruns the\n"
       "paper's full 25-series-per-dataset protocol.\n");
   return 0;
 }

@@ -385,18 +385,6 @@ std::vector<double> CombineMemberCurves(
   return ensemble;
 }
 
-std::vector<double> CombineMemberCurves(
-    std::span<const std::vector<double>> curves, double selectivity,
-    CombineRule combine, NormalizeMode normalize, bool filter_by_std,
-    std::vector<double>* member_stats, std::vector<bool>* kept) {
-  CombineSpec spec;
-  spec.selectivity = selectivity;
-  spec.combine = combine;
-  spec.normalize = normalize;
-  spec.filter_by_std = filter_by_std;
-  return CombineMemberCurves(curves, spec, member_stats, kept);
-}
-
 Result<std::vector<std::vector<double>>> ComputeMemberDensityCurves(
     std::span<const double> series, const EnsembleParams& params,
     std::vector<sax::WaParam>* out_sample, EnsembleArtifacts* artifacts) {

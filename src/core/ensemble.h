@@ -151,12 +151,4 @@ std::vector<double> CombineMemberCurves(
     std::vector<double>* member_stats = nullptr,
     std::vector<bool>* kept = nullptr);
 
-/// Legacy-signature convenience over the CombineSpec overload (no ranking
-/// fast path; keep fraction applies to curves.size()).
-std::vector<double> CombineMemberCurves(
-    std::span<const std::vector<double>> curves, double selectivity,
-    CombineRule combine, NormalizeMode normalize, bool filter_by_std,
-    std::vector<double>* member_stats = nullptr,
-    std::vector<bool>* kept = nullptr);
-
 }  // namespace egi::core

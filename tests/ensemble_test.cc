@@ -74,8 +74,11 @@ TEST(DrawParameterSampleTest, DifferentSeedsDiffer) {
 
 TEST(CombineMemberCurvesTest, SingleCurveNormalizedByMax) {
   std::vector<std::vector<double>> curves{{0.0, 2.0, 4.0}};
-  auto out = CombineMemberCurves(curves, 1.0, CombineRule::kMedian,
-                                 NormalizeMode::kMaxPreservingZeros, true);
+  auto out = CombineMemberCurves(
+      curves, {.selectivity = 1.0,
+               .combine = CombineRule::kMedian,
+               .normalize = NormalizeMode::kMaxPreservingZeros,
+               .filter_by_std = true});
   EXPECT_EQ(out, (std::vector<double>{0.0, 0.5, 1.0}));
 }
 
@@ -83,18 +86,27 @@ TEST(CombineMemberCurvesTest, ZeroPreservation) {
   // Max-normalization must keep exact zeros (the paper rejects min-max
   // because it would erase the significance of zero-density points).
   std::vector<std::vector<double>> curves{{3.0, 0.0, 6.0}, {2.0, 0.0, 8.0}};
-  auto out = CombineMemberCurves(curves, 1.0, CombineRule::kMedian,
-                                 NormalizeMode::kMaxPreservingZeros, true);
+  auto out = CombineMemberCurves(
+      curves, {.selectivity = 1.0,
+               .combine = CombineRule::kMedian,
+               .normalize = NormalizeMode::kMaxPreservingZeros,
+               .filter_by_std = true});
   EXPECT_DOUBLE_EQ(out[1], 0.0);
   EXPECT_GT(out[0], 0.0);
 }
 
 TEST(CombineMemberCurvesTest, MinMaxDiffersFromMaxNormalization) {
   std::vector<std::vector<double>> curves{{2.0, 4.0, 6.0}};
-  auto max_out = CombineMemberCurves(curves, 1.0, CombineRule::kMedian,
-                                     NormalizeMode::kMaxPreservingZeros, true);
-  auto minmax_out = CombineMemberCurves(curves, 1.0, CombineRule::kMedian,
-                                        NormalizeMode::kMinMax, true);
+  auto max_out = CombineMemberCurves(
+      curves, {.selectivity = 1.0,
+               .combine = CombineRule::kMedian,
+               .normalize = NormalizeMode::kMaxPreservingZeros,
+               .filter_by_std = true});
+  auto minmax_out = CombineMemberCurves(
+      curves, {.selectivity = 1.0,
+               .combine = CombineRule::kMedian,
+               .normalize = NormalizeMode::kMinMax,
+               .filter_by_std = true});
   EXPECT_DOUBLE_EQ(max_out[0], 2.0 / 6.0);
   EXPECT_DOUBLE_EQ(minmax_out[0], 0.0);  // min-max maps the minimum to 0
 }
@@ -102,16 +114,20 @@ TEST(CombineMemberCurvesTest, MinMaxDiffersFromMaxNormalization) {
 TEST(CombineMemberCurvesTest, MedianOfThree) {
   std::vector<std::vector<double>> curves{
       {1.0, 1.0}, {1.0, 0.5}, {0.0, 0.25}};
-  auto out = CombineMemberCurves(curves, 1.0, CombineRule::kMedian,
-                                 NormalizeMode::kNone, false);
+  auto out = CombineMemberCurves(curves, {.selectivity = 1.0,
+                                          .combine = CombineRule::kMedian,
+                                          .normalize = NormalizeMode::kNone,
+                                          .filter_by_std = false});
   EXPECT_DOUBLE_EQ(out[0], 1.0);
   EXPECT_DOUBLE_EQ(out[1], 0.5);
 }
 
 TEST(CombineMemberCurvesTest, MeanCombine) {
   std::vector<std::vector<double>> curves{{1.0}, {2.0}, {6.0}};
-  auto out = CombineMemberCurves(curves, 1.0, CombineRule::kMean,
-                                 NormalizeMode::kNone, false);
+  auto out = CombineMemberCurves(curves, {.selectivity = 1.0,
+                                          .combine = CombineRule::kMean,
+                                          .normalize = NormalizeMode::kNone,
+                                          .filter_by_std = false});
   EXPECT_DOUBLE_EQ(out[0], 3.0);
 }
 
@@ -121,8 +137,12 @@ TEST(CombineMemberCurvesTest, SelectivityKeepsTopStdCurves) {
       {0.0, 10.0, 0.0, 10.0}, {5.0, 5.0, 5.0, 5.0}, {4.0, 6.0, 4.0, 6.0}};
   std::vector<double> stds;
   std::vector<bool> kept;
-  CombineMemberCurves(curves, 0.34, CombineRule::kMedian,
-                      NormalizeMode::kNone, true, &stds, &kept);
+  CombineMemberCurves(curves,
+                      {.selectivity = 0.34,
+                       .combine = CombineRule::kMedian,
+                       .normalize = NormalizeMode::kNone,
+                       .filter_by_std = true},
+                      &stds, &kept);
   ASSERT_EQ(kept.size(), 3u);
   EXPECT_TRUE(kept[0]);   // highest std kept
   EXPECT_FALSE(kept[1]);  // flat curve dropped
@@ -134,8 +154,12 @@ TEST(CombineMemberCurvesTest, SelectivityKeepsTopStdCurves) {
 TEST(CombineMemberCurvesTest, KeepCountAtLeastOne) {
   std::vector<std::vector<double>> curves{{1.0, 2.0}};
   std::vector<bool> kept;
-  CombineMemberCurves(curves, 0.01, CombineRule::kMedian, NormalizeMode::kNone,
-                      true, nullptr, &kept);
+  CombineMemberCurves(curves,
+                      {.selectivity = 0.01,
+                       .combine = CombineRule::kMedian,
+                       .normalize = NormalizeMode::kNone,
+                       .filter_by_std = true},
+                      nullptr, &kept);
   EXPECT_TRUE(kept[0]);
 }
 
@@ -143,15 +167,22 @@ TEST(CombineMemberCurvesTest, FilterDisabledKeepsAll) {
   std::vector<std::vector<double>> curves{
       {0.0, 10.0}, {5.0, 5.0}, {4.0, 6.0}};
   std::vector<bool> kept;
-  CombineMemberCurves(curves, 0.34, CombineRule::kMedian, NormalizeMode::kNone,
-                      false, nullptr, &kept);
+  CombineMemberCurves(curves,
+                      {.selectivity = 0.34,
+                       .combine = CombineRule::kMedian,
+                       .normalize = NormalizeMode::kNone,
+                       .filter_by_std = false},
+                      nullptr, &kept);
   EXPECT_TRUE(kept[0] && kept[1] && kept[2]);
 }
 
 TEST(CombineMemberCurvesTest, AllZeroCurvesStayZero) {
   std::vector<std::vector<double>> curves{{0.0, 0.0}, {0.0, 0.0}};
-  auto out = CombineMemberCurves(curves, 1.0, CombineRule::kMedian,
-                                 NormalizeMode::kMaxPreservingZeros, true);
+  auto out = CombineMemberCurves(
+      curves, {.selectivity = 1.0,
+               .combine = CombineRule::kMedian,
+               .normalize = NormalizeMode::kMaxPreservingZeros,
+               .filter_by_std = true});
   EXPECT_EQ(out, (std::vector<double>{0.0, 0.0}));
 }
 
@@ -266,8 +297,10 @@ TEST(EnsembleTest, MatchesManualPipeline) {
     ASSERT_TRUE(run.ok());
     curves.push_back(run->density);
   }
-  auto manual =
-      CombineMemberCurves(curves, p.selectivity, p.combine, p.normalize, true);
+  auto manual = CombineMemberCurves(curves, {.selectivity = p.selectivity,
+                                             .combine = p.combine,
+                                             .normalize = p.normalize,
+                                             .filter_by_std = true});
   ASSERT_EQ(fast->density.size(), manual.size());
   for (size_t i = 0; i < manual.size(); ++i) {
     EXPECT_NEAR(fast->density[i], manual[i], 1e-12) << "at " << i;
