@@ -4,7 +4,8 @@
 // shape and (b) an unusual event among normal cycles as the top-2, with a
 // computation time of about one minute on their laptop.
 //
-// Env: EGI_FIG9_LENGTH (default 600000; quick mode uses 120000).
+// Env: EGI_FIG9_LENGTH (default 600000; quick mode uses 120000). A length
+// below four fridge cycles (3600 points) exits 2 with a message.
 
 #include <cstdio>
 
@@ -12,7 +13,6 @@
 #include "core/detector.h"
 #include "datasets/power.h"
 #include "egi/types.h"
-#include "util/env.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -20,13 +20,20 @@ int main(int argc, char** argv) {
   if (egi::bench::HandleStandardFlags(argc, argv)) return 0;
   using namespace egi;
   const auto settings = bench::SettingsFromEnv();
+  const int length =
+      bench::GetEnvCount("EGI_FIG9_LENGTH", settings.quick ? 120000 : 600000);
+  const int min_length = 4 * static_cast<int>(data::kFridgeCycleLength);
+  if (length < min_length) {
+    std::fprintf(stderr, "EGI_FIG9_LENGTH must be >= %d, got %d\n",
+                 min_length, length);
+    return 2;
+  }
   bench::PrintPreamble("Figure 9: fridge-freezer case study", settings);
 
-  const auto length = static_cast<size_t>(
-      GetEnvInt("EGI_FIG9_LENGTH", settings.quick ? 120000 : 600000));
   Rng rng(settings.data_seed);
   Stopwatch gen_sw;
-  const auto stream = datasets::MakeFridgeFreezerSeries(length, rng);
+  const auto stream =
+      datasets::MakeFridgeFreezerSeries(static_cast<size_t>(length), rng);
   std::printf("generated %zu-point stream in %.1f s\n", stream.values.size(),
               gen_sw.ElapsedSeconds());
   std::printf("planted: unusual-shape cycle at [%zu, %zu); spikes event at "

@@ -19,7 +19,9 @@ namespace egi {
 
 /// SAX word (letters) for a single, standalone subsequence — the paper's
 /// Figure 3 operation: z-normalize, PAA to `paa_size` segments, map through
-/// Gaussian breakpoints for `alphabet_size` symbols.
+/// Gaussian breakpoints for `alphabet_size` symbols. Exactly the word batch
+/// discretization gives the subsequence as its only window; NaN and Inf are
+/// rejected with InvalidArgument.
 Result<std::string> SaxWord(std::span<const double> values, int paa_size,
                             int alphabet_size);
 

@@ -9,6 +9,7 @@
 #include "sax/breakpoints.h"
 #include "sax/fast_paa.h"
 #include "ts/prefix_stats.h"
+#include "ts/stats.h"
 #include "util/rng.h"
 
 namespace egi::core {
@@ -97,12 +98,12 @@ namespace {
 // region centroid of its symbol). Measures how much signal a (w, a)
 // discretization throws away.
 double SaxResidualVariance(std::span<const double> prefix,
-                           const ts::PrefixStats& stats,
-                           const sax::FastPaa& fast_paa, size_t n, int w,
+                           const ts::PrefixStats& stats, size_t n, int w,
                            const std::vector<double>& breakpoints,
                            const std::vector<double>& centroids) {
   const size_t positions = prefix.size() - n + 1;
   const size_t stride = std::max<size_t>(1, n / 4);
+  const sax::FastPaa fast_paa(&stats);
   std::vector<double> coeffs(static_cast<size_t>(w));
 
   double err = 0.0;
@@ -110,7 +111,7 @@ double SaxResidualVariance(std::span<const double> prefix,
   for (size_t p = 0; p < positions; p += stride) {
     const double mu = stats.RangeMean(p, n);
     const double sigma = stats.RangeStdDev(p, n);
-    fast_paa.Compute(p, n, w, coeffs);
+    fast_paa.ComputeBlock(p, 1, n, w, coeffs);
     for (size_t i = 0; i < n; ++i) {
       const size_t seg = std::min<size_t>(
           static_cast<size_t>(w) - 1,
@@ -118,9 +119,8 @@ double SaxResidualVariance(std::span<const double> prefix,
       const double recon =
           centroids[static_cast<size_t>(sax::SymbolForValue(
               coeffs[seg], breakpoints))];
-      const double z = sigma < fast_paa.norm_threshold()
-                           ? 0.0
-                           : (prefix[p + i] - mu) / sigma;
+      const double z =
+          sigma < ts::kNormThreshold ? 0.0 : (prefix[p + i] - mu) / sigma;
       const double d = z - recon;
       err += d * d;
       ++count;
@@ -148,7 +148,6 @@ Result<GiParams> SelectGiDetector::SelectParams(std::span<const double> series,
   }
   auto prefix = series.subspan(0, train_len);
   const ts::PrefixStats stats(prefix);
-  const sax::FastPaa fast_paa(&stats);
 
   const int wmax = static_cast<int>(
       std::min<size_t>(static_cast<size_t>(wmax_), window_length));
@@ -179,8 +178,8 @@ Result<GiParams> SelectGiDetector::SelectParams(std::span<const double> series,
 
       const auto breakpoints = sax::GaussianBreakpoints(a);
       const auto centroids = sax::GaussianRegionCentroids(a);
-      const double var = SaxResidualVariance(
-          prefix, stats, fast_paa, window_length, w, breakpoints, centroids);
+      const double var = SaxResidualVariance(prefix, stats, window_length, w,
+                                             breakpoints, centroids);
       const double residual_bits_per_point =
           0.5 * std::log2(2.0 * M_PI * M_E * (var + 1e-12));
 

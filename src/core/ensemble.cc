@@ -162,7 +162,6 @@ Result<InducedMembers> InduceMembers(std::span<const double> series,
   static auto* encode_hist =
       Telemetry().GetHistogram("ensemble.encode_seconds");
   sax::MultiResSaxEncoder encoder(series, params.window_length, params.amax,
-                                  params.norm_threshold,
                                   params.numerosity_reduction);
   Result<std::vector<sax::DiscretizedSeries>> encoded = [&] {
     telemetry::ScopedTimer timer(encode_hist);

@@ -6,7 +6,6 @@
 
 #include "exec/parallel.h"
 #include "sax/multires_encoder.h"
-#include "ts/stats.h"
 #include "util/result.h"
 
 namespace egi::core {
@@ -39,7 +38,6 @@ struct EnsembleParams {
   /// Algorithm 1 path, bitwise-identical to builds without this knob.
   int prune_to = 0;
 
-  double norm_threshold = ts::kDefaultNormThreshold;
   bool numerosity_reduction = true;
 
   /// Degree of parallelism for the N member computations (Lines 4-6 of

@@ -29,7 +29,6 @@ Result<GiRun> RunGrammarInduction(std::span<const double> series,
   sp.window_length = params.window_length;
   sp.paa_size = params.paa_size;
   sp.alphabet_size = params.alphabet_size;
-  sp.norm_threshold = params.norm_threshold;
   sp.numerosity_reduction = params.numerosity_reduction;
   EGI_ASSIGN_OR_RETURN(auto discretized, sax::DiscretizeSeries(series, sp));
   return RunGrammarInductionOnTokens(discretized, params.boundary_correction);

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sax/sax_encoder.h"
-#include "ts/stats.h"
 #include "util/result.h"
 
 namespace egi::core {
@@ -15,7 +14,6 @@ struct GiParams {
   size_t window_length = 0;  ///< sliding window length n
   int paa_size = 4;          ///< w
   int alphabet_size = 4;     ///< a
-  double norm_threshold = ts::kDefaultNormThreshold;
   bool numerosity_reduction = true;
   /// Divide each density value by the number of windows covering the point,
   /// removing the structural dip at the series boundaries (see

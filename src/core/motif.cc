@@ -14,7 +14,6 @@ Result<std::vector<Motif>> DiscoverMotifs(std::span<const double> series,
   sp.window_length = params.gi.window_length;
   sp.paa_size = params.gi.paa_size;
   sp.alphabet_size = params.gi.alphabet_size;
-  sp.norm_threshold = params.gi.norm_threshold;
   sp.numerosity_reduction = params.gi.numerosity_reduction;
   EGI_ASSIGN_OR_RETURN(auto discretized, sax::DiscretizeSeries(series, sp));
 

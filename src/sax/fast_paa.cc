@@ -5,12 +5,6 @@
 
 namespace egi::sax {
 
-void FastPaa::Compute(size_t start, size_t n, int w,
-                      std::span<double> out) const {
-  EGI_CHECK(out.size() == static_cast<size_t>(w));
-  ComputeBlock(start, 1, n, w, out);
-}
-
 void FastPaa::ComputeBlock(size_t start, size_t count, size_t n, int w,
                            std::span<double> out) const {
   EGI_CHECK(w >= 1 && static_cast<size_t>(w) <= n)
@@ -18,8 +12,7 @@ void FastPaa::ComputeBlock(size_t start, size_t count, size_t n, int w,
   EGI_CHECK(out.size() == count * static_cast<size_t>(w));
   EGI_CHECK(count >= 1 && start + count - 1 + n <= stats_->size())
       << "window block out of bounds";
-  simd::ActiveKernels().paa_block(*stats_, norm_threshold_, start, count, n, w,
-                                  out.data());
+  simd::ActiveKernels().paa_block(*stats_, start, count, n, w, out.data());
 }
 
 }  // namespace egi::sax

@@ -3,42 +3,37 @@
 #include <span>
 
 #include "ts/prefix_stats.h"
-#include "ts/stats.h"
 
 namespace egi::sax {
 
 /// FastPAA (paper Algorithm 2): computes the z-normalized PAA coefficients of
-/// any subsequence of a fixed series in O(w), using the precomputed ESumx /
-/// ESumxx prefix statistics. The mean/stddev of the subsequence come in O(1);
-/// each PAA segment sum is an O(1) fractional prefix-sum lookup.
+/// subsequences of a fixed series in O(w) each, using the precomputed ESumx /
+/// ESumxx prefix statistics. The mean/stddev of a subsequence come in O(1);
+/// each PAA segment sum is an O(1) fractional prefix-sum lookup. Windows whose
+/// stddev is below ts::kNormThreshold are flat: all coefficients zero.
 ///
-/// Matches paa::ZNormalizedPaa to floating-point accumulation error; the
-/// equivalence is covered by parameterized tests.
+/// This is the library's only PAA. Batch encoding asks it for blocks of
+/// consecutive positions; the one-window callers — the streaming provisional
+/// scorer (prefix stats over just the newest window), GI-Select's residual
+/// and SaxWordForSubsequence (through DiscretizeSeries) — ask for count 1.
+/// Its agreement with z-normalize-then-PAA on the raw window is covered by
+/// the reference suite in tests/sax_paa_test.cc.
 class FastPaa {
  public:
   /// `stats` must outlive this object.
-  explicit FastPaa(const ts::PrefixStats* stats,
-                   double norm_threshold = ts::kDefaultNormThreshold)
-      : stats_(stats), norm_threshold_(norm_threshold) {}
+  explicit FastPaa(const ts::PrefixStats* stats) : stats_(stats) {}
 
-  /// Computes the w z-normalized PAA coefficients of series[start, start+n).
-  /// If the subsequence is flat (stddev below the normalization threshold),
-  /// all coefficients are zero. Requires 1 <= w <= n and the range in bounds.
-  void Compute(size_t start, size_t n, int w, std::span<double> out) const;
-
-  /// Batch form: coefficients for `count` consecutive window start positions
+  /// Coefficients for `count` consecutive window start positions
   /// [start, start + count), written row-major by position into `out`
   /// (count * w doubles). Routes through the runtime-dispatched encode
   /// kernels (sax/simd/) — AVX2 where available, scalar otherwise — with
-  /// bitwise-identical rows either way; row p equals Compute(start + p, ...).
+  /// bitwise-identical rows either way. Requires 1 <= w <= n and the
+  /// windows in bounds.
   void ComputeBlock(size_t start, size_t count, size_t n, int w,
                     std::span<double> out) const;
 
-  double norm_threshold() const { return norm_threshold_; }
-
  private:
   const ts::PrefixStats* stats_;
-  double norm_threshold_;
 };
 
 }  // namespace egi::sax

@@ -51,10 +51,8 @@ void AppendBlockWords(std::span<const uint32_t> intervals, size_t first_pos,
 
 MultiResSaxEncoder::MultiResSaxEncoder(std::span<const double> series,
                                        size_t window_length, int amax,
-                                       double norm_threshold,
                                        bool numerosity_reduction)
     : window_length_(window_length),
-      norm_threshold_(norm_threshold),
       numerosity_reduction_(numerosity_reduction),
       stats_(series),
       summary_(amax) {}
@@ -74,7 +72,6 @@ Result<std::vector<DiscretizedSeries>> MultiResSaxEncoder::EncodeAll(
     sp.window_length = window_length_;
     sp.paa_size = p.paa_size;
     sp.alphabet_size = p.alphabet_size;
-    sp.norm_threshold = norm_threshold_;
     EGI_RETURN_IF_ERROR(ValidateSaxParams(stats_.size(), sp));
     if (p.alphabet_size > summary_.amax()) {
       return Status::InvalidArgument(
@@ -102,7 +99,7 @@ Result<std::vector<DiscretizedSeries>> MultiResSaxEncoder::EncodeAll(
     return params[a].paa_size < params[b].paa_size;
   });
 
-  const FastPaa fast_paa(&stats_, norm_threshold_);
+  const FastPaa fast_paa(&stats_);
   const size_t positions = stats_.size() - window_length_ + 1;
   const std::span<const double> merged = summary_.merged_breakpoints();
 

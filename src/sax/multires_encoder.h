@@ -32,9 +32,7 @@ class MultiResSaxEncoder {
   /// alphabet sizes up to `amax`. The series data is copied into the
   /// internal prefix structure; the span need not outlive the encoder.
   MultiResSaxEncoder(std::span<const double> series, size_t window_length,
-                     int amax,
-                     double norm_threshold = ts::kDefaultNormThreshold,
-                     bool numerosity_reduction = true);
+                     int amax, bool numerosity_reduction = true);
 
   /// Discretizes under a single (w, a), reusing the shared state. This is
   /// DiscretizeSeries' body.
@@ -51,7 +49,6 @@ class MultiResSaxEncoder {
 
  private:
   size_t window_length_;
-  double norm_threshold_;
   bool numerosity_reduction_;
   ts::PrefixStats stats_;
   BreakpointSummary summary_;

@@ -1,11 +1,10 @@
 #include "sax/sax_encoder.h"
 
 #include <string>
-#include <vector>
 
 #include "sax/breakpoints.h"
 #include "sax/multires_encoder.h"
-#include "sax/paa.h"
+#include "ts/stats.h"
 
 namespace egi::sax {
 
@@ -46,30 +45,18 @@ Status ValidateSaxParams(size_t series_length, const SaxParams& params) {
         " bits, exceeding the " + std::to_string(kWordCodeBits) +
         "-bit packed word code; reduce w or a");
   }
-  if (params.norm_threshold < 0.0) {
-    return Status::InvalidArgument("normalization threshold must be >= 0");
-  }
   return Status::OK();
 }
 
 Result<std::string> SaxWordForSubsequence(std::span<const double> values,
-                                          int paa_size, int alphabet_size,
-                                          double norm_threshold) {
+                                          int paa_size, int alphabet_size) {
   SaxParams p;
   p.window_length = values.size();
   p.paa_size = paa_size;
   p.alphabet_size = alphabet_size;
-  p.norm_threshold = norm_threshold;
-  EGI_RETURN_IF_ERROR(ValidateSaxParams(values.size(), p));
-
-  std::vector<double> coeffs(static_cast<size_t>(paa_size));
-  ZNormalizedPaa(values, paa_size, coeffs, norm_threshold);
-  const auto bps = GaussianBreakpoints(alphabet_size);
-  std::string word(static_cast<size_t>(paa_size), 'a');
-  for (size_t i = 0; i < coeffs.size(); ++i) {
-    word[i] = SymbolToChar(SymbolForValue(coeffs[i], bps));
-  }
-  return word;
+  p.numerosity_reduction = false;
+  EGI_ASSIGN_OR_RETURN(const auto one, DiscretizeSeries(values, p));
+  return one.table.Word(one.seq.tokens[0]);
 }
 
 Result<DiscretizedSeries> DiscretizeSeries(std::span<const double> series,
@@ -79,7 +66,7 @@ Result<DiscretizedSeries> DiscretizeSeries(std::span<const double> series,
   EGI_RETURN_IF_ERROR(ValidateSeriesValues(series));
   EGI_RETURN_IF_ERROR(ValidateSaxParams(series.size(), params));
   const MultiResSaxEncoder encoder(series, params.window_length,
-                                   params.alphabet_size, params.norm_threshold,
+                                   params.alphabet_size,
                                    params.numerosity_reduction);
   return encoder.Encode(params.paa_size, params.alphabet_size);
 }

@@ -5,7 +5,6 @@
 
 #include "sax/numerosity.h"
 #include "sax/token_table.h"
-#include "ts/stats.h"
 #include "util/result.h"
 
 namespace egi::sax {
@@ -15,7 +14,6 @@ struct SaxParams {
   size_t window_length = 0;  ///< sliding window length n
   int paa_size = 4;          ///< w, number of PAA segments per window
   int alphabet_size = 4;     ///< a, SAX alphabet size
-  double norm_threshold = ts::kDefaultNormThreshold;
   bool numerosity_reduction = true;
 };
 
@@ -42,11 +40,12 @@ Status ValidateSaxParams(size_t series_length, const SaxParams& params);
 Status ValidateSeriesValues(std::span<const double> series);
 
 /// SAX word (letters) for a single, standalone subsequence — the Figure 3
-/// operation: z-normalize, PAA, map through Gaussian breakpoints.
+/// operation: z-normalize, PAA, map through Gaussian breakpoints. It is
+/// DiscretizeSeries with the window spanning the whole subsequence and
+/// numerosity reduction off, so it validates the same way (NaN and Inf
+/// included) and yields exactly the word batch encoding gives that window.
 Result<std::string> SaxWordForSubsequence(std::span<const double> values,
-                                          int paa_size, int alphabet_size,
-                                          double norm_threshold =
-                                              ts::kDefaultNormThreshold);
+                                          int paa_size, int alphabet_size);
 
 /// Discretizes the whole series via a sliding window (single resolution):
 /// validates, then runs MultiResSaxEncoder::Encode with amax = a, so there is

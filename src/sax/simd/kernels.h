@@ -10,11 +10,10 @@ namespace egi::sax::simd {
 /// Computes z-normalized PAA coefficients for `count` consecutive sliding
 /// window start positions [start, start + count) of window length `n` at
 /// PAA size `w`, writing `count * w` doubles into `out`, row-major by
-/// position. Each row is exactly what FastPaa::Compute produces for that
-/// position: flat windows (stddev below `norm_threshold`) become all zeros.
-using PaaBlockFn = void (*)(const ts::PrefixStats& stats,
-                            double norm_threshold, size_t start, size_t count,
-                            size_t n, int w, double* out);
+/// position (FastPaa::ComputeBlock's body). Flat windows (stddev below
+/// ts::kNormThreshold) become all zeros.
+using PaaBlockFn = void (*)(const ts::PrefixStats& stats, size_t start,
+                            size_t count, size_t n, int w, double* out);
 
 /// Branchless batched lower-bound: out[i] = number of breakpoints b with
 /// values[i] >= b, counting unordered comparisons (so NaN maps to

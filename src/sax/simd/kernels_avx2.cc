@@ -18,19 +18,21 @@
 
 #include <limits>
 
+#include "ts/stats.h"
+
 namespace egi::sax::simd {
 
 namespace {
 
-void PaaBlockAvx2(const ts::PrefixStats& stats, double norm_threshold,
-                  size_t start, size_t count, size_t n, int w, double* out) {
+void PaaBlockAvx2(const ts::PrefixStats& stats, size_t start, size_t count,
+                  size_t n, int w, double* out) {
   const size_t size = stats.size();
   // Gathers index with int32; n < 2 would make the sample-stddev formula
   // divide by zero where the scalar path short-circuits to zero. Both are
   // outside every hot configuration — delegate.
   if (n < 2 ||
       size >= static_cast<size_t>(std::numeric_limits<int32_t>::max()) - 1) {
-    ScalarKernels().paa_block(stats, norm_threshold, start, count, n, w, out);
+    ScalarKernels().paa_block(stats, start, count, n, w, out);
     return;
   }
   const double* series = stats.centered_data();
@@ -43,7 +45,7 @@ void PaaBlockAvx2(const ts::PrefixStats& stats, double norm_threshold,
   const __m256d v_seg = _mm256_set1_pd(seg);
   const __m256d v_nd = _mm256_set1_pd(static_cast<double>(n));
   const __m256d v_nm1 = _mm256_set1_pd(static_cast<double>(n) - 1.0);
-  const __m256d v_thresh = _mm256_set1_pd(norm_threshold);
+  const __m256d v_thresh = _mm256_set1_pd(ts::kNormThreshold);
   const __m256d v_size = _mm256_set1_pd(static_cast<double>(size));
   const __m256d v_zero = _mm256_setzero_pd();
   const __m256d v_one = _mm256_set1_pd(1.0);
@@ -139,8 +141,7 @@ void PaaBlockAvx2(const ts::PrefixStats& stats, double norm_threshold,
     }
   }
   if (p < end) {
-    ScalarKernels().paa_block(stats, norm_threshold, p, end - p, n, w,
-                              out + (p - start) * uw);
+    ScalarKernels().paa_block(stats, p, end - p, n, w, out + (p - start) * uw);
   }
 }
 

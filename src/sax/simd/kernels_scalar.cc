@@ -1,17 +1,17 @@
 #include <algorithm>
 
 #include "sax/simd/kernels.h"
+#include "ts/stats.h"
 
 namespace egi::sax::simd {
 
 namespace {
 
-// The portable reference: exactly the pre-kernel FastPaa::Compute body, run
-// once per position. The AVX2 path replicates this arithmetic lane-wise
-// (same operations, same order, no contraction), so both produce bitwise-
-// identical coefficients.
-void PaaBlockScalar(const ts::PrefixStats& stats, double norm_threshold,
-                    size_t start, size_t count, size_t n, int w, double* out) {
+// The portable reference: FastPAA (paper Algorithm 2) run once per position.
+// The AVX2 path replicates this arithmetic lane-wise (same operations, same
+// order, no contraction), so both produce bitwise-identical coefficients.
+void PaaBlockScalar(const ts::PrefixStats& stats, size_t start, size_t count,
+                    size_t n, int w, double* out) {
   const auto uw = static_cast<size_t>(w);
   const double seg = static_cast<double>(n) / static_cast<double>(w);
   for (size_t p = 0; p < count; ++p) {
@@ -19,7 +19,7 @@ void PaaBlockScalar(const ts::PrefixStats& stats, double norm_threshold,
     double* row = out + p * uw;
     const double mu = stats.RangeMean(pos, n);
     const double sigma = stats.RangeStdDev(pos, n);
-    if (sigma < norm_threshold) {
+    if (sigma < ts::kNormThreshold) {
       std::fill(row, row + uw, 0.0);
       continue;
     }

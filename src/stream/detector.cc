@@ -7,7 +7,7 @@
 
 #include "egi/telemetry.h"
 #include "sax/breakpoints.h"
-#include "sax/paa.h"
+#include "sax/fast_paa.h"
 #include "sax/simd/kernels.h"
 #include "ts/stats.h"
 #include "util/check.h"
@@ -22,6 +22,17 @@ telemetry::Registry& Telemetry() { return telemetry::Registry::Global(); }
 // std exactly 0) do not re-trigger on sub-ulp mean wobble.
 constexpr double kDriftBandEpsilon = 1e-9;
 
+// paa_row_of_w_ entry of a w no kept member has used yet at this point.
+constexpr size_t kNoRow = std::numeric_limits<size_t>::max();
+
+// Bound on buffer_capacity for opened and restored detectors alike: the
+// constructor pre-allocates two rings of `capacity` doubles, so an absurd
+// capacity (a forged snapshot, a negative flag cast to size_t) must be a
+// Status error, not a bad_alloc or length_error. 2^26 points (~1 GiB of
+// rings) is far beyond any practical config — a refit batch-runs
+// Algorithm 1 over the whole buffer.
+constexpr size_t kMaxBufferCapacity = size_t{1} << 26;
+
 }  // namespace
 
 Status StreamDetector::ValidateOptions(const StreamDetectorOptions& options) {
@@ -31,6 +42,12 @@ Status StreamDetector::ValidateOptions(const StreamDetectorOptions& options) {
   if (options.buffer_capacity < options.ensemble.window_length) {
     return Status::InvalidArgument(
         "buffer_capacity smaller than the window length");
+  }
+  if (options.buffer_capacity > kMaxBufferCapacity) {
+    return Status::InvalidArgument(
+        "buffer_capacity " + std::to_string(options.buffer_capacity) +
+        " exceeds the open and restore limit of " +
+        std::to_string(kMaxBufferCapacity) + " points");
   }
   if (options.refit_policy != RefitPolicy::kFixed &&
       options.refit_policy != RefitPolicy::kAdaptive) {
@@ -62,6 +79,7 @@ StreamDetector::StreamDetector(StreamDetectorOptions options)
       effective_interval_(options.refit_interval) {
   const Status st = ValidateOptions(options_);
   EGI_CHECK(st.ok()) << "invalid streaming options: " << st.ToString();
+  paa_row_of_w_.resize(static_cast<size_t>(options_.ensemble.wmax) + 1);
 }
 
 StreamPoint StreamDetector::Append(double value) {
@@ -287,44 +305,38 @@ double StreamDetector::ProvisionalScore() {
   scratch_window_.resize(n);
   window_.CopyWindow(scratch_window_);
 
-  // Z-normalize the window once — normalization depends only on the window,
-  // not on (w, a) — using the ingest layer's rolling mean/std instead of an
-  // O(n) recompute. Same flat-window convention as ts::ZNormalize: a window
-  // with std-dev under the threshold becomes all zeros. The rolling sums
-  // can differ from a fresh computation in the last bits, which at worst
-  // flips a coefficient sitting exactly on a breakpoint — acceptable for a
-  // provisional score and reconciled at the next refit.
-  normalized_window_.resize(n);
-  const double sigma = window_.WindowStdDev();
-  if (sigma < options_.ensemble.norm_threshold) {
-    std::fill(normalized_window_.begin(), normalized_window_.end(), 0.0);
-  } else {
-    const double mu = window_.WindowMean();
-    for (size_t i = 0; i < n; ++i) {
-      normalized_window_[i] = (scratch_window_[i] - mu) / sigma;
-    }
-  }
+  // The newest window is the whole series here: prefix sums over it alone
+  // and the batch PAA kernel at position 0 give bit for bit the
+  // coefficients DiscretizeSeries computes for that window on its own. As
+  // in EncodeAll, each distinct w is averaged once: the first kept member
+  // of a w fills its row of paa_coeffs_ and later ones reuse it.
+  window_prefix_.Assign(scratch_window_);
+  const sax::FastPaa fast_paa(&window_prefix_);
+  std::fill(paa_row_of_w_.begin(), paa_row_of_w_.end(), kNoRow);
+  size_t rows_end = 0;
 
   member_scores_.clear();
-  member_scores_.reserve(models_.size());
   for (const MemberModel& model : models_) {
-    // Encode only the one window the new point completed: PAA over the
-    // shared normalized window, then the member's cached breakpoints,
-    // accumulated straight into a packed word code.
-    paa_coeffs_.resize(static_cast<size_t>(model.paa_size));
-    sax::Paa(normalized_window_, model.paa_size, paa_coeffs_);
-    // One batched breakpoint resolution over all w coefficients via the
-    // runtime-dispatched kernels (sax/simd/) — same upper_bound semantics
-    // as sax::SymbolForValue, symbol-for-symbol (tested incl. NaN/±inf and
-    // values exactly on a breakpoint).
-    symbol_scratch_.resize(paa_coeffs_.size());
-    sax::simd::ActiveKernels().intervals(paa_coeffs_.data(), paa_coeffs_.size(),
-                                    model.breakpoints.data(),
-                                    model.breakpoints.size(),
-                                    symbol_scratch_.data());
+    const auto uw = static_cast<size_t>(model.paa_size);
+    size_t& row = paa_row_of_w_[uw];
+    if (row == kNoRow) {
+      row = rows_end;
+      rows_end += uw;
+      if (paa_coeffs_.size() < rows_end) paa_coeffs_.resize(rows_end);
+      fast_paa.ComputeBlock(0, 1, n, model.paa_size,
+                            {paa_coeffs_.data() + row, uw});
+    }
+    // The member's word: its w coefficients resolved against its own
+    // breakpoints in one batched kernel call (same upper_bound semantics as
+    // the merged axis EncodeAll uses, symbol for symbol — tested incl.
+    // NaN/±inf and values exactly on a breakpoint), packed into a code.
+    symbol_scratch_.resize(uw);
+    sax::simd::ActiveKernels().intervals(
+        paa_coeffs_.data() + row, uw, model.breakpoints.data(),
+        model.breakpoints.size(), symbol_scratch_.data());
     const sax::WordCodec& codec = model.table.codec();
     sax::WordCode code;
-    for (size_t i = 0; i < paa_coeffs_.size(); ++i) {
+    for (size_t i = 0; i < uw; ++i) {
       codec.AppendSymbol(code, static_cast<int>(symbol_scratch_[i]));
     }
     double s = 0.0;

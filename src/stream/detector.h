@@ -10,6 +10,7 @@
 #include "sax/token_table.h"
 #include "serialize/bytes.h"
 #include "stream/stream_window.h"
+#include "ts/prefix_stats.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -56,12 +57,14 @@ struct StreamDetectorOptions {
 ///
 /// - **Incremental path** (every Append): the new point completes exactly
 ///   one sliding window per ensemble member — the window ending at the
-///   point. That window is z-normalized once (using the ingest layer's
-///   rolling mean/std, not an O(n) recompute), then only its SAX word is
-///   encoded per *kept* member and scored against the word-frequency model
-///   fitted at the last refit (rare/unseen word -> low density ->
-///   anomalous; the HOTSAX rarity principle). Cost: O(kept_members *
-///   window_length) per point, independent of buffer size, with no per-
+///   point. Prefix sums are rebuilt over that window alone, the batch PAA
+///   kernel (sax::FastPaa) runs once per distinct w of the kept members, and
+///   each kept member's SAX word — exactly the word sax::DiscretizeSeries
+///   gives the window on its own — is scored against the word-frequency
+///   model fitted at the last refit (rare/unseen word -> low density ->
+///   anomalous; the HOTSAX rarity principle). Member scores combine in draw
+///   order under the ensemble's combine rule. Cost: O(window_length +
+///   kept_members * w) per point, independent of buffer size, with no per-
 ///   point allocation. These scores are marked `provisional`.
 ///
 /// - **Amortized refit** (every `refit_interval` appends): the batch
@@ -79,8 +82,10 @@ class StreamDetector {
   explicit StreamDetector(StreamDetectorOptions options);
 
   /// Status mirror of the constructor's validity checks (the constructor
-  /// aborts on violation — programmer error; snapshot restore routes
-  /// untrusted decoded options through this instead).
+  /// aborts on violation — programmer error; snapshot restore and the
+  /// façade route untrusted options through this instead). It also bounds
+  /// buffer_capacity at 2^26 points, since the constructor pre-allocates
+  /// two rings of that many doubles.
   static Status ValidateOptions(const StreamDetectorOptions& options);
 
   /// Ingests one point and returns its score. Non-finite values are
@@ -214,11 +219,12 @@ class StreamDetector {
   double drift_base_std_ = 0.0;
   bool drift_base_set_ = false;
   // Hot-path scratch, reused across Append calls to avoid allocation.
-  std::vector<double> scratch_window_;     // last window copy
-  std::vector<double> normalized_window_;  // z-normalized once per point
-  std::vector<double> paa_coeffs_;         // per-member PAA output
-  std::vector<uint32_t> symbol_scratch_;   // per-member breakpoint intervals
-  std::vector<double> member_scores_;      // per-member scores for combining
+  std::vector<double> scratch_window_;    // last window copy
+  ts::PrefixStats window_prefix_;         // prefix sums of that window
+  std::vector<double> paa_coeffs_;        // one row per distinct kept w
+  std::vector<size_t> paa_row_of_w_;      // w -> its row's offset, wmax + 1
+  std::vector<uint32_t> symbol_scratch_;  // per-member breakpoint intervals
+  std::vector<double> member_scores_;     // per-member scores for combining
 };
 
 }  // namespace egi::stream

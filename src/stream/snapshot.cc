@@ -23,6 +23,7 @@
 #include "serialize/codecs.h"
 #include "serialize/format.h"
 #include "stream/detector.h"
+#include "ts/stats.h"
 
 namespace egi::stream {
 
@@ -39,7 +40,9 @@ void WriteOptions(ByteWriter& w, const StreamDetectorOptions& o) {
   w.PutVarint(static_cast<uint64_t>(e.ensemble_size));
   w.PutDouble(e.selectivity);
   w.PutU64(e.seed);
-  w.PutDouble(e.norm_threshold);
+  // The flat-window threshold is a library constant; its slot keeps the
+  // byte layout of blobs written while it was an option.
+  w.PutDouble(ts::kNormThreshold);
   w.PutBool(e.numerosity_reduction);
   w.PutVarint(static_cast<uint64_t>(std::max(e.parallelism.threads, 1)));
   w.PutU8(static_cast<uint8_t>(e.combine));
@@ -87,7 +90,12 @@ Status ReadOptions(ByteReader& r, uint32_t version,
   EGI_RETURN_IF_ERROR(ReadVarintInt(r, &e.ensemble_size, "ensemble_size"));
   EGI_RETURN_IF_ERROR(r.ReadFiniteDouble(&e.selectivity));
   EGI_RETURN_IF_ERROR(r.ReadU64(&e.seed));
-  EGI_RETURN_IF_ERROR(r.ReadFiniteDouble(&e.norm_threshold));
+  double norm_threshold = 0.0;
+  EGI_RETURN_IF_ERROR(r.ReadFiniteDouble(&norm_threshold));
+  if (norm_threshold != ts::kNormThreshold) {
+    return Status::InvalidArgument(
+        "norm_threshold differs from the fixed flat-window threshold (0.01)");
+  }
   EGI_RETURN_IF_ERROR(r.ReadBool(&e.numerosity_reduction));
   int threads = 1;
   EGI_RETURN_IF_ERROR(ReadVarintInt(r, &threads, "parallelism.threads"));
@@ -351,13 +359,6 @@ std::vector<uint8_t> StreamDetector::Serialize() const {
   return blob;
 }
 
-// Restore-side bound on buffer_capacity: the constructor pre-allocates two
-// rings of `capacity` doubles, so a forged-but-well-formed blob declaring an
-// absurd capacity must be a Status error here, not a bad_alloc after the
-// envelope checks passed. 2^26 points (~1 GiB of rings) is far beyond any
-// practical config — a refit batch-runs Algorithm 1 over the whole buffer.
-inline constexpr size_t kMaxRestoreBufferCapacity = size_t{1} << 26;
-
 Result<StreamDetector> StreamDetector::Deserialize(
     std::span<const uint8_t> blob) {
   auto& registry = telemetry::Registry::Global();
@@ -370,10 +371,7 @@ Result<StreamDetector> StreamDetector::Deserialize(
   ByteReader r(payload);
   StreamDetectorOptions options;
   EGI_RETURN_IF_ERROR(ReadOptions(r, version, &options));
-  if (options.buffer_capacity > kMaxRestoreBufferCapacity) {
-    return Status::InvalidArgument(
-        "snapshot buffer_capacity exceeds the restore limit");
-  }
+  // Bounds buffer_capacity too, before the constructor allocates the rings.
   EGI_RETURN_IF_ERROR(ValidateOptions(options));
   StreamDetector detector(options);
   EGI_RETURN_IF_ERROR(detector.RestorePayload(r, version));

@@ -12,9 +12,10 @@ namespace egi::stream {
 /// The ingest layer of the streaming detector: a bounded ring buffer of the
 /// most recent `capacity` points plus rolling Neumaier-compensated
 /// statistics over the trailing sliding window of `window_length` points
-/// (the SAX window). Append is O(1); the window mean/std-dev that SAX
-/// z-normalization needs are maintained incrementally rather than
-/// recomputed per point.
+/// (the SAX window). Append is O(1); the window mean/std-dev are maintained
+/// incrementally for StreamSession::RollingMean/RollingStdDev and travel in
+/// snapshots. Scoring does not read them: the provisional scorer rebuilds
+/// prefix sums over the window it encodes.
 class StreamWindow {
  public:
   /// `capacity` bounds the buffered history (the series a refit scores);

@@ -8,10 +8,10 @@
 
 namespace egi::ts {
 
-PrefixStats::PrefixStats(std::span<const double> series)
-    : series_(series.begin(), series.end()),
-      sum_(series.size() + 1, 0.0),
-      sumsq_(series.size() + 1, 0.0) {
+void PrefixStats::Assign(std::span<const double> series) {
+  series_.assign(series.begin(), series.end());
+  sum_.assign(series.size() + 1, 0.0);
+  sumsq_.assign(series.size() + 1, 0.0);
   // The range-variance formula (Exx - Ex^2/n) cancels catastrophically when
   // the data ride on a large offset (e.g. a 1e9 baseline): Exx grows as
   // offset^2 while the variance stays O(1). Variance is shift-invariant, so

@@ -19,7 +19,12 @@ class PrefixStats {
   PrefixStats() = default;
 
   /// Builds prefix sums for `series` in O(N).
-  explicit PrefixStats(std::span<const double> series);
+  explicit PrefixStats(std::span<const double> series) { Assign(series); }
+
+  /// Rebuilds the sums for `series`, reusing this object's storage: the
+  /// result is bitwise what the constructor builds. `series` must not alias
+  /// this object's own data.
+  void Assign(std::span<const double> series);
 
   size_t size() const { return sum_.empty() ? 0 : sum_.size() - 1; }
 

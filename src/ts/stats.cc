@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "util/check.h"
+#include <vector>
 
 namespace egi::ts {
 
@@ -79,26 +78,6 @@ MinMax FindMinMax(std::span<const double> values) {
     mm.max = std::max(mm.max, v);
   }
   return mm;
-}
-
-void ZNormalize(std::span<const double> values, std::span<double> out,
-                double norm_threshold) {
-  EGI_CHECK(values.size() == out.size())
-      << "size mismatch: " << values.size() << " vs " << out.size();
-  const double mu = Mean(values);
-  const double sigma = SampleStdDev(values);
-  if (sigma < norm_threshold) {
-    std::fill(out.begin(), out.end(), 0.0);
-    return;
-  }
-  for (size_t i = 0; i < values.size(); ++i) out[i] = (values[i] - mu) / sigma;
-}
-
-std::vector<double> ZNormalized(std::span<const double> values,
-                                double norm_threshold) {
-  std::vector<double> out(values.size());
-  ZNormalize(values, out, norm_threshold);
-  return out;
 }
 
 }  // namespace egi::ts

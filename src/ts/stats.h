@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <span>
-#include <vector>
 
 namespace egi::ts {
 
@@ -21,10 +20,10 @@ inline void CompensatedAdd(double& acc, double& comp, double v) {
   acc = t;
 }
 
-/// Default standard-deviation threshold below which a subsequence is treated
-/// as flat during z-normalization (GrammarViz convention): flat windows map
-/// to the all-zero PAA vector instead of amplifying noise.
-inline constexpr double kDefaultNormThreshold = 0.01;
+/// Standard-deviation threshold below which a subsequence is treated as flat
+/// during z-normalization (GrammarViz convention): flat windows map to the
+/// all-zero PAA vector instead of amplifying noise.
+inline constexpr double kNormThreshold = 0.01;
 
 /// True when every value is finite (no NaN/Inf). Public entry points reject
 /// non-finite series up front so degenerate values cannot silently corrupt
@@ -55,15 +54,5 @@ struct MinMax {
   double max = 0.0;
 };
 MinMax FindMinMax(std::span<const double> values);
-
-/// Z-normalizes `values` into `out` (same length). When the sample standard
-/// deviation is below `norm_threshold`, the output is all zeros (flat
-/// window convention). `out` may alias `values`.
-void ZNormalize(std::span<const double> values, std::span<double> out,
-                double norm_threshold = kDefaultNormThreshold);
-
-/// Convenience copy-based z-normalization.
-std::vector<double> ZNormalized(std::span<const double> values,
-                                double norm_threshold = kDefaultNormThreshold);
 
 }  // namespace egi::ts

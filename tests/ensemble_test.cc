@@ -325,7 +325,7 @@ TEST(EnsembleTest, WordCountsMatchAFreshEncode) {
     const auto sample =
         DrawParameterSample(p.wmax, p.amax, p.ensemble_size, p.seed);
     sax::MultiResSaxEncoder encoder(series, p.window_length, p.amax,
-                                    p.norm_threshold, p.numerosity_reduction);
+                                    p.numerosity_reduction);
     auto fresh = encoder.EncodeAll(sample);
     ASSERT_TRUE(fresh.ok());
     size_t built = 0;

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "egi/primitives.h"
 #include "sax/breakpoints.h"
 #include "sax/fast_paa.h"
 #include "sax/multires_encoder.h"
@@ -31,7 +34,7 @@ DiscretizedSeries ReferenceDiscretize(std::span<const double> series,
   out.alphabet_size = params.alphabet_size;
 
   const ts::PrefixStats stats(series);
-  const FastPaa fast_paa(&stats, params.norm_threshold);
+  const FastPaa fast_paa(&stats);
   const auto bps = GaussianBreakpoints(params.alphabet_size);
   const WordCodec codec(params.paa_size, params.alphabet_size);
   out.table = TokenTable(codec);
@@ -40,7 +43,7 @@ DiscretizedSeries ReferenceDiscretize(std::span<const double> series,
   std::vector<double> coeffs(static_cast<size_t>(params.paa_size));
   WordCode last_code;
   for (size_t p = 0; p < positions; ++p) {
-    fast_paa.Compute(p, params.window_length, params.paa_size, coeffs);
+    fast_paa.ComputeBlock(p, 1, params.window_length, params.paa_size, coeffs);
     WordCode code;
     for (size_t i = 0; i < coeffs.size(); ++i) {
       codec.AppendSymbol(code, SymbolForValue(coeffs[i], bps));
@@ -204,6 +207,58 @@ TEST(SaxWordTest, InvalidParamsRejected) {
   EXPECT_FALSE(SaxWordForSubsequence(v, 2, 100).ok()); // a > max
 }
 
+// The public SaxWord is the one-window DiscretizeSeries, rendered: the same
+// word over an (n, w, a) grid, on real-valued and on integer-valued inputs.
+// The grid includes w = 1 with even a, where the one coefficient is the
+// window mean minus itself, exactly the middle breakpoint 0; integer inputs
+// put more coefficients exactly on it.
+TEST(SaxWordTest, EqualsSingleWindowDiscretization) {
+  Rng rng(31);
+  size_t cases = 0;
+  for (const size_t n : {2u, 3u, 8u, 13u, 40u, 97u}) {
+    for (const bool integer_valued : {false, true}) {
+      std::vector<double> v(n);
+      double x = 0.0;
+      for (double& y : v) {
+        x += integer_valued ? static_cast<double>(rng.UniformInt(-2, 2))
+                            : rng.Gaussian();
+        y = x;
+      }
+      for (int w = 1; w <= std::min(10, static_cast<int>(n)); ++w) {
+        for (const int a : {2, 3, 4, 7, 10}) {
+          SaxParams p;
+          p.window_length = n;
+          p.paa_size = w;
+          p.alphabet_size = a;
+          p.numerosity_reduction = false;
+          const auto one = DiscretizeSeries(v, p);
+          ASSERT_TRUE(one.ok()) << one.status().ToString();
+          ASSERT_EQ(one->seq.size(), 1u);
+          const auto word = egi::SaxWord(v, w, a);
+          ASSERT_TRUE(word.ok()) << word.status().ToString();
+          EXPECT_EQ(*word, one->table.Word(one->seq.tokens[0]))
+              << "n=" << n << " w=" << w << " a=" << a
+              << (integer_valued ? " integer" : " real");
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 400u);
+}
+
+TEST(SaxWordTest, RejectsNonFiniteValues) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+    v[2] = bad;
+    const auto word = egi::SaxWord(v, 3, 4);
+    ASSERT_FALSE(word.ok()) << bad;
+    EXPECT_EQ(word.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(DiscretizeTest, RejectsUnpackableWordConfigurations) {
   // ValidateSaxParams enforces w * BitsPerSymbol(a) <= 128 so every layer
   // downstream may assume words pack into one WordCode.
@@ -357,8 +412,7 @@ TEST(MultiResEncoderTest, EncodeAllMatchesPerPositionReference) {
                                     {2, 3},  {5, 7},   {20, 20}};
   for (const bool numerosity : {false, true}) {
     SCOPED_TRACE(numerosity ? "numerosity on" : "numerosity off");
-    MultiResSaxEncoder encoder(v, n, /*amax=*/20,
-                               ts::kDefaultNormThreshold, numerosity);
+    MultiResSaxEncoder encoder(v, n, /*amax=*/20, numerosity);
     auto batch = encoder.EncodeAll(params);
     ASSERT_TRUE(batch.ok());
     ASSERT_EQ(batch->size(), params.size());

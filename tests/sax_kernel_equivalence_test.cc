@@ -75,7 +75,6 @@ std::vector<double> TestSeries(size_t len, uint64_t seed) {
 TEST(PaaBlockEquivalenceTest, RemainderCountsMatchScalarBitwise) {
   const auto series = TestSeries(256, 17);
   const ts::PrefixStats stats(series);
-  const double nt = ts::kDefaultNormThreshold;
   // Counts 1..5 cover every distance from a multiple of the AVX2 group
   // width (4); the larger counts cover full-group paths and odd starts.
   for (const size_t count : {1u, 2u, 3u, 4u, 5u, 31u, 32u, 33u}) {
@@ -85,10 +84,10 @@ TEST(PaaBlockEquivalenceTest, RemainderCountsMatchScalarBitwise) {
         ASSERT_LE(start + count - 1 + n, stats.size());
         std::vector<double> scalar_out(count * static_cast<size_t>(w));
         std::vector<double> out(scalar_out.size());
-        simd::ScalarKernels().paa_block(stats, nt, start, count, n, w,
+        simd::ScalarKernels().paa_block(stats, start, count, n, w,
                                         scalar_out.data());
         for (const simd::KernelSet* kernels : AllKernels()) {
-          kernels->paa_block(stats, nt, start, count, n, w, out.data());
+          kernels->paa_block(stats, start, count, n, w, out.data());
           ExpectBitwiseEqual(out, scalar_out, kernels->name);
         }
       }
@@ -103,16 +102,15 @@ TEST(PaaBlockEquivalenceTest, DegenerateWindowsMatchScalarBitwise) {
   for (size_t i = 120; i < 200; ++i) series[i] = 1.5 + 1e-12 * (i % 2);
   series[60] = 2.0;  // lone jump: windows straddling it are non-flat
   const ts::PrefixStats stats(series);
-  const double nt = ts::kDefaultNormThreshold;
   for (const size_t n : {2u, 5u, 64u}) {
     const size_t count = stats.size() - n + 1;
     for (const int w : {1, 2, static_cast<int>(n)}) {
       std::vector<double> scalar_out(count * static_cast<size_t>(w));
       std::vector<double> out(scalar_out.size());
-      simd::ScalarKernels().paa_block(stats, nt, 0, count, n, w,
+      simd::ScalarKernels().paa_block(stats, 0, count, n, w,
                                       scalar_out.data());
       for (const simd::KernelSet* kernels : AllKernels()) {
-        kernels->paa_block(stats, nt, 0, count, n, w, out.data());
+        kernels->paa_block(stats, 0, count, n, w, out.data());
         ExpectBitwiseEqual(out, scalar_out, kernels->name);
       }
     }

@@ -3,8 +3,8 @@
 #include <tuple>
 #include <vector>
 
+#include "reference_paa.h"
 #include "sax/fast_paa.h"
-#include "sax/paa.h"
 #include "ts/prefix_stats.h"
 #include "ts/stats.h"
 #include "util/rng.h"
@@ -12,7 +12,10 @@
 namespace egi::sax {
 namespace {
 
-// -------------------------------------------------------------- naive PAA
+using reference::PaaOf;
+using reference::ZNormalizedPaa;
+
+// ---------------------------------------------------------- reference PAA
 
 TEST(PaaTest, EvenSplitAverages) {
   std::vector<double> v{1.0, 2.0, 3.0, 4.0};
@@ -67,7 +70,7 @@ TEST(FastPaaTest, MatchesNaiveOnSimpleWindow) {
   FastPaa fast(&stats);
 
   std::vector<double> got(2), want(2);
-  fast.Compute(2, 4, 2, got);
+  fast.ComputeBlock(2, 1, 4, 2, got);
   ZNormalizedPaa(std::span<const double>(series).subspan(2, 4), 2, want);
   EXPECT_NEAR(got[0], want[0], 1e-10);
   EXPECT_NEAR(got[1], want[1], 1e-10);
@@ -78,7 +81,7 @@ TEST(FastPaaTest, FlatWindowAllZeros) {
   ts::PrefixStats stats(series);
   FastPaa fast(&stats);
   std::vector<double> out(5);
-  fast.Compute(10, 20, 5, out);
+  fast.ComputeBlock(10, 1, 20, 5, out);
   for (double x : out) EXPECT_DOUBLE_EQ(x, 0.0);
 }
 
@@ -102,7 +105,7 @@ TEST_P(FastPaaEquivalenceTest, MatchesReference) {
 
   for (size_t start = 0; start + static_cast<size_t>(n) <= series.size();
        start += 7) {
-    fast.Compute(start, static_cast<size_t>(n), w, got);
+    fast.ComputeBlock(start, 1, static_cast<size_t>(n), w, got);
     ZNormalizedPaa(
         std::span<const double>(series).subspan(start, static_cast<size_t>(n)),
         w, want);

@@ -409,6 +409,25 @@ TEST_F(ServiceTest, CreateRejectsBadOptions) {
   }
 }
 
+TEST_F(ServiceTest, HugeBufferCapacityIsInvalidArgumentNotAnAbort) {
+  // egid --buffer=-1 casts to SIZE_MAX: opening that stream shape must be a
+  // Status error from the detector's own bound, before any ring exists.
+  HubServiceOptions options = SmallServiceOptions();
+  options.stream.buffer_capacity = SIZE_MAX;
+  const auto service = HubService::Create(options);
+  ASSERT_FALSE(service.ok());
+  EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(service.status().message().find("restore limit"),
+            std::string::npos)
+      << service.status().ToString();
+
+  auto session = Session::Open("ensemble");
+  ASSERT_TRUE(session.ok());
+  const auto stream = session->OpenStream(options.stream);
+  ASSERT_FALSE(stream.ok());
+  EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(ServiceTest, PerTenantStreamQuota) {
   auto options = SmallServiceOptions();
   options.max_streams_per_tenant = 2;

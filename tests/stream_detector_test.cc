@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/ensemble.h"
 #include "datasets/random_walk.h"
+#include "sax/sax_encoder.h"
 #include "stream/detector.h"
+#include "ts/stats.h"
 #include "util/rng.h"
 
 namespace egi::stream {
@@ -169,6 +172,91 @@ TEST(StreamDetectorTest, IngestMatchesPointwiseAppend) {
     EXPECT_EQ(batch[i].scored, pt.scored);
     EXPECT_EQ(batch[i].refit, pt.refit);
   }
+}
+
+// The provisional contract: between refits, a point's score is the
+// detector's combine rule over the kept members in draw order. Each member
+// scores the sax::DiscretizeSeries word of the newest window alone (window
+// n, the member's w and a, numerosity off) by that word's position count
+// over the max count in ComputeEnsembleDensity(BufferSnapshot()) taken at
+// the last refit. Returns the number of provisional points checked.
+size_t ExpectProvisionalContract(const StreamDetectorOptions& opt,
+                                 std::span<const double> series) {
+  StreamDetector detector(opt);
+  const size_t n = opt.ensemble.window_length;
+  core::EnsembleResult fitted;
+  core::EnsembleArtifacts artifacts;
+  size_t checked = 0;
+  for (const double v : series) {
+    const StreamPoint pt = detector.Append(v);
+    if (pt.refit) {
+      artifacts = {};
+      auto batch = core::ComputeEnsembleDensity(detector.BufferSnapshot(),
+                                                opt.ensemble, &artifacts);
+      EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+      if (!batch.ok()) return checked;
+      fitted = std::move(*batch);
+      continue;
+    }
+    if (!pt.provisional) continue;
+    const std::vector<double> buffered = detector.BufferSnapshot();
+    const auto window = std::span<const double>(buffered).last(n);
+    std::vector<double> member_scores;
+    for (size_t m = 0; m < fitted.members.size(); ++m) {
+      if (!fitted.members[m].kept) continue;
+      sax::SaxParams p;
+      p.window_length = n;
+      p.paa_size = fitted.members[m].paa_size;
+      p.alphabet_size = fitted.members[m].alphabet_size;
+      p.numerosity_reduction = false;
+      const auto word = sax::DiscretizeSeries(window, p);
+      EXPECT_TRUE(word.ok()) << word.status().ToString();
+      if (!word.ok()) return checked;
+      const core::MemberWordCounts& counts = artifacts.word_counts[m];
+      const int32_t id =
+          counts.table.Find(word->table.CodeAt(word->seq.tokens[0]));
+      member_scores.push_back(
+          id < 0 || counts.max_count <= 0.0
+              ? 0.0
+              : counts.position_counts[static_cast<size_t>(id)] /
+                    counts.max_count);
+    }
+    double want = 0.0;
+    if (!member_scores.empty()) {
+      want = opt.ensemble.combine == core::CombineRule::kMedian
+                 ? ts::Median(member_scores)
+                 : ts::Mean(member_scores);
+    }
+    EXPECT_EQ(pt.score, want) << "point " << pt.index;
+    if (pt.score != want) return checked;
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(StreamDetectorTest, ProvisionalScoresFollowTheWindowAloneOnAFloatWalk) {
+  auto opt = SmallOptions();
+  const auto series = TestSeries(1200, /*seed=*/8);
+  EXPECT_GT(ExpectProvisionalContract(opt, series), 1000u);
+  opt.ensemble.combine = core::CombineRule::kMean;
+  EXPECT_GT(ExpectProvisionalContract(opt, series), 1000u);
+}
+
+TEST(StreamDetectorTest, ProvisionalScoresFollowTheWindowAloneOnAnIntegerWalk) {
+  // Integer steps put many PAA coefficients exactly on a breakpoint (a
+  // segment mean equal to the window mean is exactly 0), where any other
+  // route to the coefficient than the batch kernel can round across it.
+  Rng rng(12);
+  std::vector<double> series(1200);
+  double x = 0.0;
+  for (double& v : series) {
+    x += static_cast<double>(rng.UniformInt(-1, 1));
+    v = x;
+  }
+  auto opt = SmallOptions();
+  EXPECT_GT(ExpectProvisionalContract(opt, series), 1000u);
+  opt.ensemble.combine = core::CombineRule::kMean;
+  EXPECT_GT(ExpectProvisionalContract(opt, series), 1000u);
 }
 
 TEST(StreamDetectorTest, KeptMembersDriveTheProvisionalModel) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -428,6 +429,44 @@ TEST(StreamSnapshotCorruptionTest, AbsurdBufferCapacityIsRejectedNotAllocated) {
   const auto st = StreamDetector::Deserialize(blob).status();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("restore limit"), std::string::npos);
+}
+
+TEST(StreamSnapshotCorruptionTest, NormThresholdSlotMustHoldTheConstant) {
+  // The flat-window threshold is a library constant, but blobs keep its
+  // 8-byte slot. A well-formed blob whose slot holds anything else must fail
+  // restore, naming the field, rather than silently score on another rule.
+  const auto blob = FittedDetectorBlob();
+  std::span<const uint8_t> payload;
+  ASSERT_TRUE(serialize::UnwrapPayload(
+                  blob, serialize::BlobKind::kStreamDetector, &payload)
+                  .ok());
+  // Walk the options to the slot: four varints, selectivity, seed.
+  serialize::ByteReader r(payload);
+  uint64_t varint = 0;
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(r.ReadVarint(&varint).ok());
+  ASSERT_TRUE(r.Skip(16).ok());
+  const size_t slot = r.position();
+  double stored = 0.0;
+  ASSERT_TRUE(r.ReadDouble(&stored).ok());
+  EXPECT_EQ(stored, 0.01);
+
+  for (const double other : {0.02, 0.0, 0.01 * (1.0 + 1e-15)}) {
+    serialize::ByteWriter w;
+    w.PutDouble(other);
+    std::vector<uint8_t> patched(payload.begin(), payload.end());
+    std::copy(w.bytes().begin(), w.bytes().end(), patched.begin() + slot);
+    const auto forged = serialize::WrapPayload(
+        serialize::BlobKind::kStreamDetector, patched);
+    const auto st = StreamDetector::Deserialize(forged).status();
+    ASSERT_FALSE(st.ok()) << other;
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << other;
+    EXPECT_NE(st.message().find("norm_threshold"), std::string::npos)
+        << st.ToString();
+  }
+  // The untouched payload, re-wrapped the same way, still restores.
+  const auto rewrapped =
+      serialize::WrapPayload(serialize::BlobKind::kStreamDetector, payload);
+  EXPECT_TRUE(StreamDetector::Deserialize(rewrapped).ok());
 }
 
 TEST(StreamSnapshotCorruptionTest, EmptyAndGarbageBlobsAreRejected) {

@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
 #include "egi/types.h"
+#include "reference_paa.h"
 #include "ts/prefix_stats.h"
 #include "ts/stats.h"
 #include "util/rng.h"
 
 namespace egi::ts {
 namespace {
+
+using reference::ZNormalize;
+using reference::ZNormalized;
 
 // ------------------------------------------------------------------ stats
 
@@ -70,7 +76,7 @@ TEST(StatsTest, ZNormalizeFlatWindowGoesToZeros) {
 
 TEST(StatsTest, ZNormalizeNearFlatBelowThresholdGoesToZeros) {
   std::vector<double> v{1.0, 1.0001, 0.9999, 1.0};
-  auto z = ZNormalized(v, /*norm_threshold=*/0.01);
+  auto z = ZNormalized(v);
   for (double x : z) EXPECT_DOUBLE_EQ(x, 0.0);
 }
 
@@ -170,6 +176,33 @@ TEST(PrefixStatsTest, FractionalRangeSumOneEdgeAlignedOneNot) {
   EXPECT_NEAR(ps.FractionalRangeSum(1.5, 3.0), 1.0 + 3.0, 1e-12);
   // One full sample picked out exactly.
   EXPECT_NEAR(ps.FractionalRangeSum(2.0, 3.0), 3.0, 1e-12);
+}
+
+TEST(PrefixStatsTest, AssignRebuildsBitwiseWhatTheConstructorBuilds) {
+  // The streaming scorer reuses one PrefixStats across windows; Assign over
+  // a shorter, then a longer series must leave nothing of the old state.
+  Rng rng(3);
+  std::vector<double> longer(90), shorter(17);
+  for (auto& x : longer) x = rng.Gaussian(1e3, 2.0);
+  for (auto& x : shorter) x = rng.Gaussian(-4.0, 0.5);
+  PrefixStats reused(longer);
+  for (const auto* series : {&shorter, &longer}) {
+    reused.Assign(*series);
+    const PrefixStats fresh(*series);
+    ASSERT_EQ(reused.size(), fresh.size());
+    EXPECT_EQ(std::bit_cast<uint64_t>(reused.center()),
+              std::bit_cast<uint64_t>(fresh.center()));
+    for (size_t i = 0; i <= fresh.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(reused.prefix_sums()[i]),
+                std::bit_cast<uint64_t>(fresh.prefix_sums()[i]));
+      EXPECT_EQ(std::bit_cast<uint64_t>(reused.prefix_sumsq()[i]),
+                std::bit_cast<uint64_t>(fresh.prefix_sumsq()[i]));
+    }
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(reused.centered_data()[i]),
+                std::bit_cast<uint64_t>(fresh.centered_data()[i]));
+    }
+  }
 }
 
 // Property sweep: prefix-stat range queries equal direct computation for

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# End-to-end smoke test for the egid daemon: boot → load → checkpoint →
-# kill -9 → restart (restore-on-boot) → verify state survived → closed
-# connections release their threads → stream creation answers under
-# saturating ingest → clean SIGTERM drain. CI runs this under `timeout` on
-# every push; it is also handy locally:
+# End-to-end smoke test for the egid daemon: a bad flag is refused → boot
+# → load → checkpoint → kill -9 → restart (restore-on-boot) → verify state
+# survived → closed connections release their threads → stream creation
+# answers under saturating ingest → clean SIGTERM drain. CI runs this
+# under `timeout` on every push; it is also handy locally:
 #
 #   tools/egid_smoke.sh build
 #
@@ -36,6 +36,17 @@ fail() {
 
 [[ -x $EGID ]] || fail "egid binary not found at $EGID"
 [[ -x $LOADGEN ]] || fail "loadgen binary not found at $LOADGEN"
+
+# A bad stream shape is a clean startup error, not an abort: --buffer=-1
+# casts to SIZE_MAX, past the detector's buffer bound. The timeout turns a
+# daemon that boots anyway into a failure instead of a hang.
+BAD_OUT=$(timeout 10 "$EGID" --window=16 --buffer=-1 2>&1)
+BAD_STATUS=$?
+[[ $BAD_STATUS == 1 ]] \
+  || fail "egid --buffer=-1 exited $BAD_STATUS, not 1: $BAD_OUT"
+grep -q 'InvalidArgument' <<<"$BAD_OUT" \
+  || fail "egid --buffer=-1 did not report InvalidArgument: $BAD_OUT"
+echo "egid --buffer=-1 refused to boot: $BAD_OUT"
 
 # Launch and parse the ready banner for the ephemeral ports.
 start_egid() {
@@ -157,4 +168,4 @@ else
 fi
 
 rm -rf "$WORK"
-echo "PASS: egid smoke (load, checkpoint, SIGKILL, restore, reaping, create under load, drain)"
+echo "PASS: egid smoke (bad flag, load, checkpoint, SIGKILL, restore, reaping, create under load, drain)"
