@@ -118,6 +118,42 @@ int main(int argc, char** argv) {
     }
   }
 
+  // A fleet-shaped refit's encode: a 256-point walk at window 16 under the
+  // default N = 50 draw, where each member's fixed cost (its run list and
+  // token table) weighs as much as its 241 positions. Many reps, since one
+  // EncodeAll takes well under a millisecond.
+  {
+    const core::EnsembleParams defaults;
+    const auto fleet_pairs = core::DrawParameterSample(
+        defaults.wmax, defaults.amax, defaults.ensemble_size, defaults.seed);
+    const size_t fleet_len = 256;
+    const size_t fleet_window = 16;
+    const auto series = BenchSeries(fleet_len);
+    sax::MultiResSaxEncoder encoder(series, fleet_window, defaults.amax);
+    const double secs = bench::BestSeconds(20 * reps, [&] {
+      auto d = encoder.EncodeAll(fleet_pairs);
+      bench::KeepAlive(d);
+    });
+    const double rate = static_cast<double>(fleet_len - fleet_window + 1) *
+                        static_cast<double>(fleet_pairs.size()) /
+                        std::max(secs, 1e-12);
+    if (json) {
+      bench::JsonRecord("micro_sax")
+          .Add("mode", "fleet_encode_only")
+          .Add("kernel", sax::simd::ActiveKernelName())
+          .Add("series_length", static_cast<int64_t>(fleet_len))
+          .Add("window", static_cast<int64_t>(fleet_window))
+          .Add("pairs", static_cast<int64_t>(fleet_pairs.size()))
+          .Add("seconds", secs)
+          .Add("positions_params_per_sec", rate)
+          .Add("quick", quick)
+          .Emit(std::cout);
+    } else {
+      table.AddRow({"fleet_encode_only", std::to_string(fleet_len),
+                    FormatDouble(secs, 6), FormatDouble(rate, 0)});
+    }
+  }
+
   // Breakpoint resolution in isolation: a buffer of z-normal-range values
   // pushed through the active intervals kernel (the batched lower-bound
   // that EncodeAll and the streaming provisional scorer use), per alphabet

@@ -12,16 +12,18 @@ namespace egi::sax {
 
 namespace {
 
-// Appends the words of one block of consecutive positions to `out`. Row b
-// of `intervals` holds position first_pos + b's w merged-axis interval
+// Step 1 of EncodeAll for one block of consecutive positions: packs each
+// position's word and appends it to `runs` (and its position to `offsets`)
+// unless numerosity reduction folds it into the run before. Row b of
+// `intervals` holds position first_pos + b's w merged-axis interval
 // indices; `symbols` is the request's alphabet row of the interval ->
 // symbol table, so each symbol is one load and the word is packed in
 // registers (one 64-bit accumulator when it fits, else WordCodec's 128-bit
-// shift). `last` carries the numerosity-reduction state across blocks.
-void AppendBlockWords(std::span<const uint32_t> intervals, size_t first_pos,
-                      std::span<const uint8_t> symbols,
-                      const WordCodec& codec, bool numerosity_reduction,
-                      WordCode& last, DiscretizedSeries& out) {
+// shift).
+void AppendBlockRuns(std::span<const uint32_t> intervals, size_t first_pos,
+                     std::span<const uint8_t> symbols, const WordCodec& codec,
+                     bool numerosity_reduction, std::vector<WordCode>& runs,
+                     std::vector<size_t>& offsets) {
   const auto uw = static_cast<size_t>(codec.word_length());
   const int bits = codec.bits_per_symbol();
   const bool narrow = codec.word_length() * bits <= 64;
@@ -38,12 +40,22 @@ void AppendBlockWords(std::span<const uint32_t> intervals, size_t first_pos,
         codec.AppendSymbol(code, symbols[row[i]]);
       }
     }
-    if (numerosity_reduction && !out.seq.tokens.empty() && code == last) {
+    if (numerosity_reduction && !runs.empty() && code == runs.back()) {
       continue;
     }
+    runs.push_back(code);
+    offsets.push_back(first_pos + b);
+  }
+}
+
+// Step 2: interns a request's runs in position order into a table sized for
+// the run count, which bounds its vocabulary, so no intern rehashes.
+void InternRuns(std::span<const WordCode> runs, const WordCodec& codec,
+                DiscretizedSeries& out) {
+  out.table = TokenTable(codec, runs.size());
+  out.seq.tokens.reserve(runs.size());
+  for (const WordCode& code : runs) {
     out.seq.tokens.push_back(out.table.Intern(code));
-    out.seq.offsets.push_back(first_pos + b);
-    last = code;
   }
 }
 
@@ -88,7 +100,6 @@ Result<std::vector<DiscretizedSeries>> MultiResSaxEncoder::EncodeAll(
     results[i].paa_size = params[i].paa_size;
     results[i].alphabet_size = params[i].alphabet_size;
     codecs[i] = WordCodec(params[i].paa_size, params[i].alphabet_size);
-    results[i].table = TokenTable(codecs[i]);
   }
 
   // Group requests by w so PAA is computed once per distinct w: a flat
@@ -113,7 +124,7 @@ Result<std::vector<DiscretizedSeries>> MultiResSaxEncoder::EncodeAll(
 
   std::vector<double> coeffs;
   std::vector<uint32_t> intervals;
-  std::vector<WordCode> last_codes(params.size());
+  std::vector<std::vector<WordCode>> runs;  // per request of the w group
 
   for (size_t g = 0; g < order.size();) {
     const int w = params[order[g]].paa_size;
@@ -123,6 +134,8 @@ Result<std::vector<DiscretizedSeries>> MultiResSaxEncoder::EncodeAll(
     const auto uw = static_cast<size_t>(w);
     coeffs.resize(kBlockPositions * uw);
     intervals.resize(kBlockPositions * uw);
+    if (runs.size() < g_end - g) runs.resize(g_end - g);
+    for (std::vector<WordCode>& r : runs) r.clear();
 
     for (size_t block = 0; block < positions; block += kBlockPositions) {
       const size_t block_count = std::min(kBlockPositions, positions - block);
@@ -136,11 +149,14 @@ Result<std::vector<DiscretizedSeries>> MultiResSaxEncoder::EncodeAll(
                                                       block_count * uw);
       for (size_t k = g; k < g_end; ++k) {
         const size_t ri = order[k];
-        AppendBlockWords(block_intervals, block,
-                         summary_.SymbolRow(params[ri].alphabet_size),
-                         codecs[ri], numerosity_reduction_, last_codes[ri],
-                         results[ri]);
+        AppendBlockRuns(block_intervals, block,
+                        summary_.SymbolRow(params[ri].alphabet_size),
+                        codecs[ri], numerosity_reduction_, runs[k - g],
+                        results[ri].seq.offsets);
       }
+    }
+    for (size_t k = g; k < g_end; ++k) {
+      InternRuns(runs[k - g], codecs[order[k]], results[order[k]]);
     }
     g = g_end;
   }

@@ -39,7 +39,11 @@ class MultiResSaxEncoder {
   Result<DiscretizedSeries> Encode(int paa_size, int alphabet_size) const;
 
   /// Batch-discretizes all requested combinations in one sliding-window
-  /// sweep per distinct w. Results align 1:1 with `params`.
+  /// sweep per distinct w. Results align 1:1 with `params`. Two steps per
+  /// request: the sweep packs and numerosity-reduces its words into a run
+  /// list, then the runs are interned in position order into a token table
+  /// sized for the run count (which bounds the vocabulary), so no intern
+  /// rehashes and ids stay in first-appearance order.
   Result<std::vector<DiscretizedSeries>> EncodeAll(
       std::span<const WaParam> params) const;
 

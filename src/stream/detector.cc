@@ -265,9 +265,10 @@ Status StreamDetector::RefitNow() {
   // scores against. Only kept members contribute to the ensemble curve, so
   // only they are modelled; counts are in sliding-window positions (each
   // numerosity-reduced token covers a run of identically-encoded positions).
-  // The refit's token table is adopted (moved) as the model index, so counts
-  // live in a dense vector keyed by token id — no word is ever re-hashed,
-  // let alone rendered.
+  // The refit's token table is sized for the member's run count; the model
+  // keeps it compacted to its vocabulary (same ids, far fewer slots), so
+  // counts live in a dense vector keyed by token id and no word is ever
+  // rendered.
   models_.clear();
   for (size_t m = 0; m < last_ensemble_.members.size(); ++m) {
     const auto& member = last_ensemble_.members[m];
@@ -277,7 +278,7 @@ Status StreamDetector::RefitNow() {
     model.paa_size = member.paa_size;
     model.alphabet_size = member.alphabet_size;
     model.breakpoints = sax::GaussianBreakpoints(model.alphabet_size);
-    model.table = std::move(counts.table);
+    model.table = counts.table.Compacted();
     model.position_counts = std::move(counts.position_counts);
     model.max_count = counts.max_count;
     models_.push_back(std::move(model));
@@ -298,6 +299,14 @@ Status StreamDetector::RefitNow() {
                         {"buffered", std::to_string(window_.size())}});
   last_refit_status_ = Status::OK();
   return last_refit_status_;
+}
+
+std::vector<size_t> StreamDetector::ModelSlotCountsForTest() const {
+  std::vector<size_t> slots;
+  for (const MemberModel& model : models_) {
+    slots.push_back(model.table.slot_count());
+  }
+  return slots;
 }
 
 double StreamDetector::ProvisionalScore() {

@@ -146,7 +146,7 @@ class StreamDetector {
 
   /// Serializes the complete detector state — options, counters, ring
   /// contents, rolling-stats accumulators, per-member word-frequency models
-  /// (adopted refit TokenTables included), and the last ensemble result —
+  /// (their TokenTables included), and the last ensemble result —
   /// into a versioned, checksummed snapshot blob (src/serialize, DESIGN.md
   /// "Snapshot format"). A detector restored from the blob continues
   /// **bitwise-identically** to the uninterrupted original: same scores,
@@ -160,19 +160,24 @@ class StreamDetector {
   /// crash.
   static Result<StreamDetector> Deserialize(std::span<const uint8_t> blob);
 
+  /// Slot count of each kept member's token table, in draw order: tests pin
+  /// that the models hold vocabulary-sized tables, not run-sized ones.
+  std::vector<size_t> ModelSlotCountsForTest() const;
+
  private:
   /// Word-frequency model of one kept ensemble member, fitted at refit
   /// time: packed SAX word code -> number of sliding-window positions it
   /// covered in the buffered window (numerosity-reduction run lengths
-  /// included). The refit's token table is adopted wholesale, so counts are
-  /// a dense vector indexed by token id and the per-point lookup is one
-  /// open-addressing probe on a 128-bit code — no string is constructed,
-  /// hashed, or compared anywhere in the scoring path.
+  /// included). The refit's token table is kept compacted to its
+  /// vocabulary with the same ids, so counts are a dense vector indexed by
+  /// token id and the per-point lookup is one open-addressing probe on a
+  /// 128-bit code — no string is constructed, hashed, or compared anywhere
+  /// in the scoring path.
   struct MemberModel {
     int paa_size = 0;
     int alphabet_size = 0;
     std::vector<double> breakpoints;  // Gaussian, cached for the hot path
-    sax::TokenTable table;            // code -> id, moved from the refit
+    sax::TokenTable table;            // code -> id, the refit's, compacted
     std::vector<double> position_counts;  // indexed by token id
     double max_count = 0.0;
   };

@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <cstdlib>
+#include <string>
 
 #include "util/env.h"
 
@@ -35,6 +36,21 @@ std::string Flags::Str(std::string_view name, const std::string& fallback,
                        const char* env) const {
   if (const char* v = Find(name); v != nullptr) return v;
   return env != nullptr ? GetEnvString(env, fallback) : fallback;
+}
+
+Status Flags::Count(std::string_view name, size_t fallback, const char* env,
+                    size_t* out) const {
+  const int64_t v = Int(name, static_cast<int64_t>(fallback), env);
+  if (v < 0) {
+    // Name where the value came from: the flag, else its environment twin.
+    const std::string source = Find(name) == nullptr && env != nullptr
+                                   ? std::string(env)
+                                   : "--" + std::string(name);
+    return Status::InvalidArgument(source + " must be >= 0, got " +
+                                   std::to_string(v));
+  }
+  *out = static_cast<size_t>(v);
+  return Status::OK();
 }
 
 }  // namespace egi

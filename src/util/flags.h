@@ -4,9 +4,12 @@
 // or `--name value` from argv, falling back to an optional environment
 // twin (parsed by util/env.h) and then to a default.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+
+#include "util/status.h"
 
 namespace egi {
 
@@ -25,6 +28,13 @@ class Flags {
                 const char* env = nullptr) const;
   std::string Str(std::string_view name, const std::string& fallback,
                   const char* env = nullptr) const;
+
+  /// Int() for a size or count flag: stores the value in `*out`, or returns
+  /// InvalidArgument "--name must be >= 0, got <v>" when it is negative (a
+  /// negative size would otherwise wrap to a huge one); a negative value
+  /// read from `env` is reported under the variable's name instead.
+  Status Count(std::string_view name, size_t fallback, const char* env,
+               size_t* out) const;
 
  private:
   int argc_;

@@ -136,6 +136,95 @@ TEST(TokenTableTest, ManyWordsSurviveTableGrowth) {
   }
 }
 
+// `count` codes drawn with repeats from a vocabulary of up to `pool` random
+// words (a duplicate draw in the pool shrinks it). Under a wide layout the
+// words set bits of the high half.
+std::vector<WordCode> CodesWithRepeats(const WordCodec& codec, size_t pool,
+                                       size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int> symbols(static_cast<size_t>(codec.word_length()));
+  std::vector<WordCode> vocabulary(pool);
+  for (WordCode& code : vocabulary) {
+    for (int& s : symbols) {
+      s = static_cast<int>(rng.UniformInt(0, codec.alphabet_size() - 1));
+    }
+    code = codec.Pack(symbols);
+  }
+  std::vector<WordCode> codes(count);
+  for (WordCode& code : codes) {
+    code = vocabulary[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(pool) - 1))];
+  }
+  return codes;
+}
+
+TEST(TokenTableTest, SizedTableMatchesOneGrownFromEmpty) {
+  // 12-bit and 100-bit layouts; every sizing — none (grown from empty),
+  // below the vocabulary (grows past it), exactly the vocabulary, and the
+  // run count — must give the grown table's ids, codes and lookups.
+  for (const WordCodec& codec : {WordCodec(4, 8), WordCodec(20, 20)}) {
+    const std::vector<WordCode> codes = CodesWithRepeats(codec, 300, 1000, 5);
+    const std::vector<WordCode> probes = CodesWithRepeats(codec, 200, 200, 6);
+    TokenTable grown(codec);
+    for (const WordCode& code : codes) grown.Intern(code);
+    const size_t vocabulary = grown.size();
+    ASSERT_LT(vocabulary, codes.size());  // the draws repeat
+    if (codec.word_length() == 20) {
+      EXPECT_TRUE(std::any_of(codes.begin(), codes.end(),
+                              [](const WordCode& c) { return c.hi != 0; }));
+    }
+    size_t absent = 0;
+    for (const size_t expected :
+         {size_t{0}, vocabulary / 3, vocabulary, codes.size()}) {
+      TokenTable fresh(codec);
+      TokenTable sized(codec, expected);
+      for (const WordCode& code : codes) {
+        ASSERT_EQ(sized.Intern(code), fresh.Intern(code))
+            << "expected=" << expected;
+      }
+      EXPECT_TRUE(std::ranges::equal(sized.codes(), grown.codes()));
+      for (const WordCode& code : codes) {
+        EXPECT_EQ(sized.Find(code), grown.Find(code));
+      }
+      for (const WordCode& probe : probes) {
+        EXPECT_EQ(sized.Find(probe), grown.Find(probe));
+        absent += grown.Find(probe) < 0;
+      }
+      if (expected <= vocabulary) {
+        EXPECT_EQ(sized.slot_count(), grown.slot_count())
+            << "expected=" << expected;
+      } else {
+        EXPECT_GT(sized.slot_count(), grown.slot_count());
+      }
+    }
+    EXPECT_GT(absent, 0u);
+  }
+}
+
+TEST(TokenTableTest, CompactedKeepsIdsWithTheGrownSlotCount) {
+  const WordCodec codec(6, 10);
+  const std::vector<WordCode> codes = CodesWithRepeats(codec, 150, 2000, 9);
+  TokenTable run_sized(codec, codes.size());
+  for (const WordCode& code : codes) run_sized.Intern(code);
+  // A table grown over the vocabulary alone, in id order.
+  TokenTable grown(codec);
+  for (const WordCode& code : run_sized.codes()) grown.Intern(code);
+  const TokenTable compacted = run_sized.Compacted();
+  EXPECT_LT(compacted.slot_count(), run_sized.slot_count());
+  EXPECT_EQ(compacted.slot_count(), grown.slot_count());
+  EXPECT_EQ(compacted.codec().word_length(), 6);
+  EXPECT_EQ(compacted.codec().alphabet_size(), 10);
+  EXPECT_TRUE(std::ranges::equal(compacted.codes(), grown.codes()));
+  for (const WordCode& code : codes) {
+    EXPECT_EQ(compacted.Find(code), grown.Find(code));
+  }
+
+  const TokenTable empty = TokenTable(codec, 64).Compacted();
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.slot_count(), 0u);
+  EXPECT_EQ(empty.Find(codes[0]), -1);
+}
+
 // ------------------------------------------------------ numerosity (Eq. 2/3)
 
 TEST(NumerosityTest, PaperExampleEq2ToEq3) {

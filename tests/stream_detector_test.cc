@@ -259,6 +259,39 @@ TEST(StreamDetectorTest, ProvisionalScoresFollowTheWindowAloneOnAnIntegerWalk) {
   EXPECT_GT(ExpectProvisionalContract(opt, series), 1000u);
 }
 
+TEST(StreamDetectorTest, KeptModelTablesAreSizedForTheirVocabulary) {
+  // A refit's tables are sized for each member's run count; every kept
+  // model keeps its table with the slot count of a table grown over that
+  // member's vocabulary, and so does a restore.
+  const auto opt = SmallOptions();
+  StreamDetector detector(opt);
+  size_t refits = 0;
+  size_t compacted = 0;
+  for (const double v : TestSeries(640, /*seed=*/31)) {
+    if (!detector.Append(v).refit) continue;
+    ++refits;
+    core::EnsembleArtifacts artifacts;
+    ASSERT_TRUE(core::ComputeEnsembleDensity(detector.BufferSnapshot(),
+                                             opt.ensemble, &artifacts)
+                    .ok());
+    std::vector<size_t> grown_slots;
+    for (size_t m = 0; m < artifacts.word_counts.size(); ++m) {
+      if (!detector.last_ensemble().members[m].kept) continue;
+      const sax::TokenTable& refit_table = artifacts.word_counts[m].table;
+      sax::TokenTable grown(refit_table.codec());
+      for (const sax::WordCode& code : refit_table.codes()) grown.Intern(code);
+      grown_slots.push_back(grown.slot_count());
+      compacted += grown.slot_count() < refit_table.slot_count();
+    }
+    EXPECT_EQ(detector.ModelSlotCountsForTest(), grown_slots);
+    const auto restored = StreamDetector::Deserialize(detector.Serialize());
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored->ModelSlotCountsForTest(), grown_slots);
+  }
+  EXPECT_GE(refits, 5u);
+  EXPECT_GT(compacted, 0u);  // run-sized refit tables do get smaller
+}
+
 TEST(StreamDetectorTest, KeptMembersDriveTheProvisionalModel) {
   const auto opt = SmallOptions();
   StreamDetector detector(opt);

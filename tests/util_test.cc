@@ -14,6 +14,7 @@
 
 #include "util/csv.h"
 #include "util/env.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -251,6 +252,46 @@ TEST(CsvTest, WritesRowsToFile) {
   std::getline(in, line);
   EXPECT_EQ(line, "1.5,2");
   std::filesystem::remove(path);
+}
+
+// ------------------------------------------------------------------ Flags
+
+TEST(FlagsTest, CountReadsNonNegativeSizesAndRejectsNegativeOnes) {
+  char prog[] = "egid";
+  char window[] = "--window=-3";
+  char buffer[] = "--buffer=256";
+  char queue[] = "--queue-capacity";
+  char queue_value[] = "0";
+  char* argv[] = {prog, window, buffer, queue, queue_value};
+  const Flags flags(5, argv);
+
+  size_t out = 99;
+  const Status negative = flags.Count("window", 64, nullptr, &out);
+  EXPECT_EQ(negative.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(negative.message(), "--window must be >= 0, got -3");
+  EXPECT_EQ(out, 99u);  // untouched on error
+
+  ASSERT_TRUE(flags.Count("buffer", 4096, nullptr, &out).ok());
+  EXPECT_EQ(out, 256u);
+  ASSERT_TRUE(flags.Count("queue-capacity", 8192, nullptr, &out).ok());
+  EXPECT_EQ(out, 0u);
+  ASSERT_TRUE(flags.Count("refit-interval", 512, nullptr, &out).ok());
+  EXPECT_EQ(out, 512u);
+
+  // The environment twin is held to the same rule, and the error names the
+  // variable; a flag on the command line wins over it.
+  ::setenv("EGI_TEST_COUNT", "-1", 1);
+  EXPECT_EQ(flags.Count("refit-interval", 512, "EGI_TEST_COUNT", &out)
+                .message(),
+            "EGI_TEST_COUNT must be >= 0, got -1");
+  EXPECT_EQ(flags.Count("window", 64, "EGI_TEST_COUNT", &out).message(),
+            "--window must be >= 0, got -3");
+  ASSERT_TRUE(flags.Count("buffer", 4096, "EGI_TEST_COUNT", &out).ok());
+  EXPECT_EQ(out, 256u);
+  ::setenv("EGI_TEST_COUNT", "17", 1);
+  ASSERT_TRUE(flags.Count("refit-interval", 512, "EGI_TEST_COUNT", &out).ok());
+  EXPECT_EQ(out, 17u);
+  ::unsetenv("EGI_TEST_COUNT");
 }
 
 // -------------------------------------------------------------------- Env

@@ -58,17 +58,24 @@ int main(int argc, char** argv) {
 
   egi::service::HubServiceOptions options;
   options.spec = flags.Str("spec", "ensemble", "EGID_SPEC");
-  options.stream.window_length =
-      static_cast<size_t>(flags.Int("window", 64, "EGID_WINDOW"));
-  options.stream.buffer_capacity =
-      static_cast<size_t>(flags.Int("buffer", 4096, "EGID_BUFFER"));
-  options.stream.refit_interval = static_cast<size_t>(
-      flags.Int("refit-interval", 512, "EGID_REFIT_INTERVAL"));
+  for (const egi::Status& count : {
+           flags.Count("window", 64, "EGID_WINDOW",
+                       &options.stream.window_length),
+           flags.Count("buffer", 4096, "EGID_BUFFER",
+                       &options.stream.buffer_capacity),
+           flags.Count("refit-interval", 512, "EGID_REFIT_INTERVAL",
+                       &options.stream.refit_interval),
+           flags.Count("queue-capacity", 8192, "EGID_QUEUE_CAPACITY",
+                       &options.queue_capacity),
+           flags.Count("max-streams-per-tenant", 0,
+                       "EGID_MAX_STREAMS_PER_TENANT",
+                       &options.max_streams_per_tenant)}) {
+    if (!count.ok()) {
+      std::fprintf(stderr, "egid: %s\n", count.ToString().c_str());
+      return 1;
+    }
+  }
   options.checkpoint_path = flags.Str("checkpoint", "", "EGID_CHECKPOINT");
-  options.queue_capacity = static_cast<size_t>(
-      flags.Int("queue-capacity", 8192, "EGID_QUEUE_CAPACITY"));
-  options.max_streams_per_tenant = static_cast<size_t>(
-      flags.Int("max-streams-per-tenant", 0, "EGID_MAX_STREAMS_PER_TENANT"));
   options.points_per_second =
       flags.Double("points-per-second", 0.0, "EGID_POINTS_PER_SECOND");
   options.quota_burst = flags.Double("quota-burst", 0.0, "EGID_QUOTA_BURST");

@@ -69,8 +69,13 @@ int main(int argc, char** argv) {
 
   egi::router::RouterOptions options;
   options.shards = std::move(*endpoints);
-  options.channels_per_shard = static_cast<size_t>(
-      flags.Int("channels-per-shard", 4, "EGID_ROUTER_CHANNELS_PER_SHARD"));
+  if (const egi::Status count =
+          flags.Count("channels-per-shard", 4, "EGID_ROUTER_CHANNELS_PER_SHARD",
+                      &options.channels_per_shard);
+      !count.ok()) {
+    std::fprintf(stderr, "egid_router: %s\n", count.ToString().c_str());
+    return 1;
+  }
   options.acquire_timeout_seconds =
       flags.Double("acquire-timeout", 2.0, "EGID_ROUTER_ACQUIRE_TIMEOUT");
   options.migrate_timeout_seconds =

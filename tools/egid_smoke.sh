@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# End-to-end smoke test for the egid daemon: a bad flag is refused → boot
+# End-to-end smoke test for the egid daemon: bad flags are refused → boot
 # → load → checkpoint → kill -9 → restart (restore-on-boot) → verify state
 # survived → closed connections release their threads → stream creation
 # answers under saturating ingest → clean SIGTERM drain. CI runs this
@@ -37,16 +37,20 @@ fail() {
 [[ -x $EGID ]] || fail "egid binary not found at $EGID"
 [[ -x $LOADGEN ]] || fail "loadgen binary not found at $LOADGEN"
 
-# A bad stream shape is a clean startup error, not an abort: --buffer=-1
-# casts to SIZE_MAX, past the detector's buffer bound. The timeout turns a
+# A negative size flag is a clean startup error, not an abort or a daemon
+# that boots broken: cast to size_t, --buffer=-1 would overflow the ring
+# allocation, --refit-interval=-1 would never refit, and
+# --queue-capacity=-1 would switch backpressure off. The timeout turns a
 # daemon that boots anyway into a failure instead of a hang.
-BAD_OUT=$(timeout 10 "$EGID" --window=16 --buffer=-1 2>&1)
-BAD_STATUS=$?
-[[ $BAD_STATUS == 1 ]] \
-  || fail "egid --buffer=-1 exited $BAD_STATUS, not 1: $BAD_OUT"
-grep -q 'InvalidArgument' <<<"$BAD_OUT" \
-  || fail "egid --buffer=-1 did not report InvalidArgument: $BAD_OUT"
-echo "egid --buffer=-1 refused to boot: $BAD_OUT"
+for BAD_FLAG in --buffer=-1 --refit-interval=-1 --queue-capacity=-1; do
+  BAD_OUT=$(timeout 10 "$EGID" --window=16 "$BAD_FLAG" 2>&1)
+  BAD_STATUS=$?
+  [[ $BAD_STATUS == 1 ]] \
+    || fail "egid $BAD_FLAG exited $BAD_STATUS, not 1: $BAD_OUT"
+  grep -q 'InvalidArgument' <<<"$BAD_OUT" \
+    || fail "egid $BAD_FLAG did not report InvalidArgument: $BAD_OUT"
+  echo "egid $BAD_FLAG refused to boot: $BAD_OUT"
+done
 
 # Launch and parse the ready banner for the ephemeral ports.
 start_egid() {
