@@ -155,15 +155,26 @@ int Run(int argc, char** argv) {
   const bool json = JsonOutputEnabled(argc, argv);
   const bool quick = SettingsFromEnv().quick;
   const Flags flags(argc, argv);
-  const int http_port = static_cast<int>(flags.Int("http-port", 0));
-  const int ingest_port = static_cast<int>(flags.Int("ingest-port", 0));
   const char* targets_flag = flags.Find("targets");
   const std::string record_name = flags.Str("name", "service_loadgen");
-  const size_t streams =
-      static_cast<size_t>(flags.Int("streams", quick ? 1000 : 10000));
-  size_t conns = static_cast<size_t>(flags.Int("conns", 8));
-  const int batch = static_cast<int>(flags.Int("batch", 20));
-  const int rounds = static_cast<int>(flags.Int("rounds", quick ? 5 : 10));
+  int http_port = 0;
+  int ingest_port = 0;
+  size_t streams = 0;
+  size_t conns = 0;
+  int batch = 0;
+  int rounds = 0;
+  for (const Status& parsed :
+       {flags.Int("http-port", 0, nullptr, &http_port),
+        flags.Int("ingest-port", 0, nullptr, &ingest_port),
+        flags.Count("streams", quick ? 1000 : 10000, nullptr, &streams),
+        flags.Count("conns", 8, nullptr, &conns),
+        flags.Int("batch", 20, nullptr, &batch),
+        flags.Int("rounds", quick ? 5 : 10, nullptr, &rounds)}) {
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "loadgen: %s\n", parsed.ToString().c_str());
+      return 2;
+    }
+  }
 
   // One router (or daemon) via --targets, or the classic localhost port
   // pair; either way the load below only sees a target list.

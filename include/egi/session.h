@@ -93,7 +93,9 @@ class StreamSession {
   /// Restores a stream from a Checkpoint() blob. Every malformed input —
   /// truncation, bit flips, version or kind mismatches — yields a Status
   /// error, never a crash. The spec lives inside the blob, so no Session is
-  /// needed.
+  /// needed; only its threads= does not (scores are the same at every
+  /// thread count, and so are the blob's bytes): the restored stream runs
+  /// at EGI_NUM_THREADS, all cores by default.
   static Result<StreamSession> Restore(std::span<const uint8_t> blob);
 
  private:
@@ -153,6 +155,8 @@ class StreamHub {
 
   /// Restores a Checkpoint() blob, replacing every current stream.
   /// All-or-nothing: on any failure the hub is left exactly as it was.
+  /// Restored streams run at EGI_NUM_THREADS, as in
+  /// StreamSession::Restore; streams added later follow the hub's spec.
   Status Restore(std::span<const uint8_t> blob);
 
   /// Checkpoints one stream into a standalone blob — the same bytes as a

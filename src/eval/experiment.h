@@ -38,9 +38,9 @@ struct ExperimentConfig {
   uint64_t data_seed = 2020;     ///< seed for series generation
 
   /// Degree of parallelism across (dataset, method) experiment cells. Each
-  /// cell builds its own detector and walks its series serially, so scores
-  /// are identical to a serial run for every thread count; detectors that
-  /// parallelize internally fall back to serial inside a parallel sweep.
+  /// cell builds its own detector and walks its series in order, so scores
+  /// are identical to a serial run for every thread count; a detector that
+  /// parallelizes internally fans out onto the workers other cells leave idle.
   exec::Parallelism parallelism = exec::Parallelism::FromEnv();
 };
 

@@ -23,20 +23,6 @@ telemetry::Gauge* QueueDepthGauge() {
   return gauge;
 }
 
-thread_local bool tls_in_parallel_region = false;
-
-/// RAII marker for "this thread is inside a parallel region".
-class ScopedRegion {
- public:
-  ScopedRegion() : prev_(tls_in_parallel_region) {
-    tls_in_parallel_region = true;
-  }
-  ~ScopedRegion() { tls_in_parallel_region = prev_; }
-
- private:
-  bool prev_;
-};
-
 /// State shared between the caller and the helper tasks of one region.
 /// Held by shared_ptr so a helper dequeued after the caller returned still
 /// has valid state to touch: it finds `next` exhausted and leaves without
@@ -59,7 +45,6 @@ struct RegionState {
 // exactly once either way, so `done` always reaches num_chunks. Returns how
 // many chunks this thread claimed.
 size_t DrainChunks(RegionState& state) {
-  ScopedRegion region;
   size_t claimed = 0;
   for (;;) {
     const size_t c = state.next.fetch_add(1, std::memory_order_relaxed);
@@ -144,8 +129,6 @@ void ThreadPool::MarkSharedForked() {
   g_shared_pool->forked_.store(true, std::memory_order_relaxed);
 }
 
-bool ThreadPool::InParallelRegion() { return tls_in_parallel_region; }
-
 void ThreadPool::Enqueue(std::function<void()> task) {
   EGI_CHECK(!forked_.load(std::memory_order_relaxed))
       << "exec::ThreadPool used in a forked child, whose pool has no "
@@ -161,14 +144,13 @@ void ThreadPool::Enqueue(std::function<void()> task) {
 void ThreadPool::RunChunks(size_t num_chunks, int max_concurrency,
                            const std::function<void(size_t)>& chunk_fn) {
   if (num_chunks == 0) return;
-  if (num_chunks == 1 || max_concurrency <= 1 || tls_in_parallel_region) {
-    ScopedRegion region;
+  if (num_chunks == 1 || max_concurrency <= 1) {
     for (size_t c = 0; c < num_chunks; ++c) chunk_fn(c);
     return;
   }
 
-  // Parallel regions only (the serial/nested inline path above is too hot
-  // for a clock read): region wall time plus how much work fanned out.
+  // Parallel regions only (the serial inline path above is too hot for a
+  // clock read): region wall time plus how much work fanned out.
   // A late helper claimed no chunk: by the time a worker dequeued it, the
   // caller (and any earlier helpers) had claimed them all — fan-out that
   // was declined because no worker was idle.
@@ -229,7 +211,7 @@ void ParallelForRanges(const Parallelism& par, size_t begin, size_t end,
     const size_t b = begin + c * grain;
     fn(b, std::min(end, b + grain));
   };
-  if (par.serial() || chunks == 1 || ThreadPool::InParallelRegion()) {
+  if (par.serial() || chunks == 1) {
     for (size_t c = 0; c < chunks; ++c) chunk_fn(c);
     return;
   }

@@ -40,7 +40,9 @@ struct Parallelism {
 /// chunk has completed — helpers still queued at that point find the counter
 /// exhausted and never touch the region's chunk function. The first
 /// exception thrown by any chunk skips the remaining chunks and is rethrown
-/// on the calling thread.
+/// on the calling thread. Regions opened inside a task or inside another
+/// region's chunk work the same way, so nesting can neither deadlock nor
+/// oversubscribe (DESIGN.md, "Concurrency model").
 ///
 /// Most code should use ParallelFor/ParallelForRanges below, which route
 /// through the lazily-created process-wide Shared() pool. Dedicated pools
@@ -70,10 +72,6 @@ class ThreadPool {
   /// `max_concurrency` / Parallelism::threads.
   static ThreadPool& Shared();
 
-  /// True while the current thread is executing inside a parallel region.
-  /// ParallelFor uses this to run nested regions serially inline.
-  static bool InParallelRegion();
-
   /// Queues `task` to run once on a worker, FIFO behind everything already
   /// queued. Tasks may open parallel regions of their own; those regions'
   /// helpers queue behind the tasks already waiting, so a region fans out
@@ -83,8 +81,7 @@ class ThreadPool {
   /// Invokes `chunk_fn(c)` for every c in [0, num_chunks), using at most
   /// `max_concurrency` threads (the caller plus up to max_concurrency - 1
   /// pool workers). Returns once every chunk has completed; rethrows the
-  /// first exception. Nested calls (from inside a chunk) run serially
-  /// inline.
+  /// first exception.
   void RunChunks(size_t num_chunks, int max_concurrency,
                  const std::function<void(size_t)>& chunk_fn);
 
@@ -106,8 +103,8 @@ size_t NumChunks(size_t range, size_t grain);
 
 /// Invokes `fn(i)` for every i in [begin, end), split into chunks of at most
 /// `grain` indices executed with at most `par.threads` threads from the
-/// shared pool. Serial (in-order, inline) when par is serial, the range fits
-/// one chunk, or the caller is already inside a parallel region.
+/// shared pool. Serial (in-order, inline) when par is serial or the range
+/// fits one chunk.
 void ParallelFor(const Parallelism& par, size_t begin, size_t end,
                  size_t grain, const std::function<void(size_t)>& fn);
 

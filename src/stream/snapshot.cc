@@ -44,7 +44,8 @@ void WriteOptions(ByteWriter& w, const StreamDetectorOptions& o) {
   // byte layout of blobs written while it was an option.
   w.PutDouble(ts::kNormThreshold);
   w.PutBool(e.numerosity_reduction);
-  w.PutVarint(static_cast<uint64_t>(std::max(e.parallelism.threads, 1)));
+  // Likewise the thread-count slot holds 1: scores do not depend on it.
+  w.PutVarint(1);
   w.PutU8(static_cast<uint8_t>(e.combine));
   w.PutU8(static_cast<uint8_t>(e.normalize));
   w.PutBool(e.filter_by_std);
@@ -97,9 +98,8 @@ Status ReadOptions(ByteReader& r, uint32_t version,
         "norm_threshold differs from the fixed flat-window threshold (0.01)");
   }
   EGI_RETURN_IF_ERROR(r.ReadBool(&e.numerosity_reduction));
-  int threads = 1;
+  int threads = 1;  // bounds-checked, then ignored: restores run at FromEnv()
   EGI_RETURN_IF_ERROR(ReadVarintInt(r, &threads, "parallelism.threads"));
-  e.parallelism = exec::Parallelism::Fixed(std::max(threads, 1));
   uint8_t combine = 0;
   EGI_RETURN_IF_ERROR(r.ReadU8(&combine));
   if (combine > static_cast<uint8_t>(core::CombineRule::kMean)) {

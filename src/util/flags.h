@@ -2,7 +2,7 @@
 
 // The command-line reader of egid, egid_router and loadgen: `--name=value`
 // or `--name value` from argv, falling back to an optional environment
-// twin (parsed by util/env.h) and then to a default.
+// twin and then to a default.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,19 +20,21 @@ class Flags {
   /// The value given for --name, or nullptr when the flag is absent.
   const char* Find(std::string_view name) const;
 
-  /// --name's value (atoll / atof for the numbers), else the environment
-  /// variable `env` when it is non-null and set, else `fallback`.
-  int64_t Int(std::string_view name, int64_t fallback,
-              const char* env = nullptr) const;
-  double Double(std::string_view name, double fallback,
-                const char* env = nullptr) const;
+  /// Stores --name's value in `*out`, else that of the environment variable
+  /// `env` when it is non-null and set to a non-empty value, else
+  /// `fallback`. The whole value must be one number: a suffix, garbage or an
+  /// empty --name= is InvalidArgument naming where the value came from, e.g.
+  /// "--buffer expects an integer, got '4k'", and leaves `*out` untouched.
+  Status Int(std::string_view name, int fallback, const char* env,
+             int* out) const;
+  Status Double(std::string_view name, double fallback, const char* env,
+                double* out) const;
   std::string Str(std::string_view name, const std::string& fallback,
                   const char* env = nullptr) const;
 
-  /// Int() for a size or count flag: stores the value in `*out`, or returns
-  /// InvalidArgument "--name must be >= 0, got <v>" when it is negative (a
-  /// negative size would otherwise wrap to a huge one); a negative value
-  /// read from `env` is reported under the variable's name instead.
+  /// Int() for a size or count flag: a negative value is InvalidArgument
+  /// "--name must be >= 0, got <v>" ("<env> must be ..." when it came from
+  /// the variable), since it would otherwise wrap to a huge size.
   Status Count(std::string_view name, size_t fallback, const char* env,
                size_t* out) const;
 

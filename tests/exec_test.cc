@@ -162,26 +162,72 @@ TEST(ParallelForTest, ExceptionAbortsRemainingChunks) {
 }
 
 TEST(ParallelForTest, NestedUseFallsBackToSerial) {
-  EXPECT_FALSE(ThreadPool::InParallelRegion());
-  std::vector<std::atomic<int>> hits(64);
-  for (auto& h : hits) h = 0;
-  std::atomic<bool> saw_region{false};
-  std::atomic<bool> inner_on_same_thread{true};
-  ParallelFor(Parallelism::Fixed(4), 0, 8, 1, [&](size_t outer) {
-    if (ThreadPool::InParallelRegion()) saw_region = true;
-    const auto outer_thread = std::this_thread::get_id();
-    // The nested region must run inline on this thread, in order.
-    ParallelFor(Parallelism::Fixed(4), 0, 8, 1, [&](size_t inner) {
-      if (std::this_thread::get_id() != outer_thread) {
-        inner_on_same_thread = false;
+  // Every worker of the shared pool (and the caller) holds one outer chunk
+  // from before any nested region opens until after the last one returns,
+  // so no worker is idle to take a nested helper: each nested region runs
+  // all of its chunks on its caller, in order, each index once. Timed waits
+  // turn a regression into a failure instead of a hang.
+  const size_t outer_chunks =
+      static_cast<size_t>(ThreadPool::Shared().num_workers()) + 1;
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t entered = 0;
+  size_t finished = 0;
+  std::atomic<bool> timed_out{false};
+  const auto wait_for_every_chunk = [&](size_t& count) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++count;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(20),
+                     [&] { return count == outer_chunks; })) {
+      timed_out = true;
+    }
+  };
+  std::vector<std::vector<size_t>> order(outer_chunks);
+  std::atomic<bool> inner_on_caller{true};
+  ParallelFor(Parallelism::Fixed(static_cast<int>(outer_chunks)), 0,
+              outer_chunks, 1, [&](size_t outer) {
+                wait_for_every_chunk(entered);
+                const auto caller = std::this_thread::get_id();
+                ParallelFor(Parallelism::Fixed(4), 0, 8, 1, [&](size_t inner) {
+                  if (std::this_thread::get_id() != caller) {
+                    inner_on_caller = false;
+                  }
+                  std::lock_guard<std::mutex> lock(mu);
+                  order[outer].push_back(inner);
+                });
+                wait_for_every_chunk(finished);
+              });
+  EXPECT_FALSE(timed_out.load()) << "the outer chunks never all overlapped";
+  EXPECT_TRUE(inner_on_caller.load());
+  std::vector<size_t> expected(8);
+  std::iota(expected.begin(), expected.end(), size_t{0});
+  for (const auto& o : order) EXPECT_EQ(o, expected);
+}
+
+TEST(ParallelForTest, NestedRegionFansOutOntoIdleWorkers) {
+  // A region opened inside another region's chunk follows the one rule of
+  // every region: it offers helpers, and an idle worker takes them. The
+  // outer region runs on a dedicated pool, so the shared pool's workers are
+  // all idle; each nested region's two chunks rendezvous, which completes
+  // only if they run on two threads at once.
+  ThreadPool outer_pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> arrived(2, 0);
+  std::atomic<bool> timed_out{false};
+  outer_pool.RunChunks(2, 2, [&](size_t outer) {
+    ParallelFor(Parallelism::Fixed(2), 0, 2, 1, [&](size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      ++arrived[outer];
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(20),
+                       [&] { return arrived[outer] == 2; })) {
+        timed_out = true;
       }
-      ++hits[outer * 8 + inner];
     });
   });
-  EXPECT_TRUE(saw_region.load());
-  EXPECT_TRUE(inner_on_same_thread.load());
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_FALSE(ThreadPool::InParallelRegion());
+  EXPECT_FALSE(timed_out.load()) << "a nested region ran on its caller alone";
 }
 
 // -------------------------------------------------------------- ThreadPool

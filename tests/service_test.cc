@@ -764,19 +764,20 @@ TEST_F(ServiceTest, SixStreamsBitwiseIdenticalAtOneAndFourThreads) {
         << "stream " << s;
   }
 
-  // Checkpoint bytes. Every stream snapshot records its spec's threads=
-  // value, so the byte comparison holds the spec fixed (threads=4) and
-  // varies the scoring threads instead: one pool thread in a child process
-  // (EGI_NUM_THREADS=1: drains one at a time, no member ever fans out)
-  // against this process's full pool.
+  // Checkpoint bytes: the same for the spec's threads=1 and threads=4, and
+  // for one pool thread in a child process (EGI_NUM_THREADS=1: drains one
+  // at a time, no member ever fans out) against this process's full pool.
   const std::string child_checkpoint = Path("child.egis");
   const int status = RunChildLife("six_streams", child_checkpoint,
                                   {"EGI_NUM_THREADS=1"});
   ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
       << "child ingest failed (wait status " << status << ")";
   auto child_bytes = serialize::ReadFileBytes(child_checkpoint);
+  auto serial_bytes = serialize::ReadFileBytes(Path("threads1.egis"));
   auto fanned_bytes = serialize::ReadFileBytes(Path("threads4.egis"));
-  ASSERT_TRUE(child_bytes.ok() && fanned_bytes.ok());
+  ASSERT_TRUE(child_bytes.ok() && serial_bytes.ok() && fanned_bytes.ok());
+  EXPECT_TRUE(*serial_bytes == *fanned_bytes)
+      << "checkpoint bytes depend on the spec's threads=";
   EXPECT_TRUE(*child_bytes == *fanned_bytes)
       << "checkpoint bytes depend on the number of scoring threads";
 }

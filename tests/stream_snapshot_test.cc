@@ -35,9 +35,9 @@ StreamDetectorOptions SmallOptions() {
   opt.ensemble.amax = 6;
   opt.ensemble.ensemble_size = 12;
   opt.ensemble.seed = 42;
-  // Pinned (the library default is FromEnv): parallelism.threads is part of
-  // the serialized options block, so snapshot bytes compared across runs —
-  // and the golden fixture below — must not depend on the machine.
+  // Serial: these cases check continuation, not fan-out. The bytes would
+  // be the same at any thread count, since the snapshot's thread-count slot
+  // holds a constant (the *ThreadCountInvariant tests check that).
   opt.ensemble.parallelism = exec::Parallelism::Serial();
   opt.buffer_capacity = 256;
   opt.refit_interval = 64;
@@ -207,16 +207,24 @@ std::vector<std::vector<double>> EngineSeries(size_t streams, size_t length) {
   return data;
 }
 
-// A hub whose streams run SmallOptions() with the given spec threads=.
-StreamHub OpenTestHub(int threads) {
+// A session and stream shape for SmallOptions() with the given threads=.
+Session OpenTestSession(int threads) {
   auto session = Session::Open("ensemble:wmax=6,amax=6,n=12,seed=42,threads=" +
                                std::to_string(threads));
   EXPECT_TRUE(session.ok()) << session.status();
+  return std::move(session).value();
+}
+
+StreamOptions TestStreamOptions() {
   StreamOptions options;
   options.window_length = 40;
   options.buffer_capacity = 256;
   options.refit_interval = 64;
-  auto hub = session->OpenHub(options);
+  return options;
+}
+
+StreamHub OpenTestHub(int threads) {
+  auto hub = OpenTestSession(threads).OpenHub(TestStreamOptions());
   EXPECT_TRUE(hub.ok()) << hub.status();
   return std::move(hub).value();
 }
@@ -271,18 +279,40 @@ TEST(StreamEngineSnapshotTest, CheckpointRestoreContinuationFourThreads) {
 
 TEST(StreamEngineSnapshotTest, CheckpointIsThreadCountInvariant) {
   // The checkpoint bytes must not depend on how many threads run the
-  // refits' members or serialize the sections. threads= is recorded in
-  // every section, so the spec stays fixed; the second run happens inside
-  // a one-thread region, where every nested parallel region runs inline.
+  // refits' members or serialize the sections: hubs opened with threads=1
+  // and threads=4 write the same blob.
   const auto data = EngineSeries(3, 200);
-  const std::vector<uint8_t> fanned =
-      FedHub(4, data, data[0].size()).Checkpoint();
-  std::vector<uint8_t> serial;
-  exec::ThreadPool inline_only(0);
-  inline_only.RunChunks(1, 1, [&](size_t) {
-    serial = FedHub(4, data, data[0].size()).Checkpoint();
-  });
-  EXPECT_EQ(fanned, serial);
+  EXPECT_EQ(FedHub(1, data, data[0].size()).Checkpoint(),
+            FedHub(4, data, data[0].size()).Checkpoint());
+}
+
+TEST(StreamSnapshotTest, SessionCheckpointIsThreadCountInvariant) {
+  // One StreamSession fed at threads=1 and at threads=4 checkpoints to the
+  // same blob, which restores, re-serializes to the same bytes and
+  // continues bit for bit.
+  const auto open = [](int threads) {
+    auto stream = OpenTestSession(threads).OpenStream(TestStreamOptions());
+    EXPECT_TRUE(stream.ok()) << stream.status();
+    return std::move(stream).value();
+  };
+  const auto series = TestSeries(480, /*seed=*/31);
+  const auto prefix = std::span<const double>(series).first(200);
+  const auto tail = std::span<const double>(series).subspan(200);
+  StreamSession serial = open(1);
+  StreamSession fanned = open(4);
+  serial.Ingest(prefix);
+  fanned.Ingest(prefix);
+  const std::vector<uint8_t> blob = fanned.Checkpoint();
+  EXPECT_EQ(blob, serial.Checkpoint());
+
+  auto restored = StreamSession::Restore(blob);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->Checkpoint(), blob);
+  const auto a = fanned.Ingest(tail);
+  const auto b = restored->Ingest(tail);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) ExpectPointsIdentical(a[i], b[i], i);
+  EXPECT_EQ(restored->Checkpoint(), fanned.Checkpoint());
 }
 
 TEST(StreamEngineSnapshotTest, EmptyEngineRoundTrips) {
@@ -469,6 +499,47 @@ TEST(StreamSnapshotCorruptionTest, NormThresholdSlotMustHoldTheConstant) {
   EXPECT_TRUE(StreamDetector::Deserialize(rewrapped).ok());
 }
 
+TEST(StreamSnapshotCorruptionTest, ThreadCountSlotIsBoundsCheckedAndIgnored) {
+  // Writers store 1 in the thread-count slot; older ones stored their own
+  // thread count. Any in-range value restores to the same detector (which
+  // writes 1 again), and an out-of-range one is rejected, naming the field.
+  const auto blob = FittedDetectorBlob();
+  std::span<const uint8_t> payload;
+  ASSERT_TRUE(serialize::UnwrapPayload(
+                  blob, serialize::BlobKind::kStreamDetector, &payload)
+                  .ok());
+  // Walk the options to the slot: four varints, selectivity, seed,
+  // norm_threshold, numerosity_reduction.
+  serialize::ByteReader r(payload);
+  uint64_t varint = 0;
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(r.ReadVarint(&varint).ok());
+  ASSERT_TRUE(r.Skip(25).ok());
+  const size_t slot = r.position();
+  ASSERT_TRUE(r.ReadVarint(&varint).ok());
+  EXPECT_EQ(varint, 1u);
+  ASSERT_EQ(r.position(), slot + 1);
+
+  const auto with_slot = [&](uint64_t threads) {
+    serialize::ByteWriter w;
+    w.PutVarint(threads);
+    std::vector<uint8_t> patched(payload.begin(), payload.begin() + slot);
+    patched.insert(patched.end(), w.bytes().begin(), w.bytes().end());
+    patched.insert(patched.end(), payload.begin() + slot + 1, payload.end());
+    return serialize::WrapPayload(serialize::BlobKind::kStreamDetector,
+                                  patched);
+  };
+  for (const uint64_t threads : {0u, 4u, 64u}) {
+    auto restored = StreamDetector::Deserialize(with_slot(threads));
+    ASSERT_TRUE(restored.ok()) << threads << ": " << restored.status();
+    EXPECT_EQ(restored->Serialize(), blob) << threads;
+  }
+  const auto st =
+      StreamDetector::Deserialize(with_slot(uint64_t{1} << 31)).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("parallelism.threads"), std::string::npos)
+      << st.ToString();
+}
+
 TEST(StreamSnapshotCorruptionTest, EmptyAndGarbageBlobsAreRejected) {
   EXPECT_FALSE(StreamDetector::Deserialize({}).ok());
   const std::vector<uint8_t> garbage(64, 0xA5);
@@ -500,8 +571,8 @@ StreamDetector GoldenDetector() {
   opt.ensemble.amax = 5;
   opt.ensemble.ensemble_size = 6;
   opt.ensemble.seed = 20200317;
-  // Pinned so regeneration produces identical fixture bytes on any machine
-  // (the library default is the machine-dependent FromEnv).
+  // Serial, as when the fixture was written; regeneration at any thread
+  // count gives the same bytes (the thread-count slot holds a constant).
   opt.ensemble.parallelism = exec::Parallelism::Serial();
   opt.buffer_capacity = 128;
   opt.refit_interval = 50;
@@ -522,7 +593,7 @@ StreamDetector GoldenDetectorV2() {
   opt.ensemble.ensemble_size = 6;
   opt.ensemble.seed = 20200317;
   opt.ensemble.prune_to = 4;
-  opt.ensemble.parallelism = exec::Parallelism::Serial();
+  opt.ensemble.parallelism = exec::Parallelism::Serial();  // as above
   opt.buffer_capacity = 128;
   opt.refit_interval = 50;
   opt.refit_policy = RefitPolicy::kAdaptive;

@@ -294,6 +294,70 @@ TEST(FlagsTest, CountReadsNonNegativeSizesAndRejectsNegativeOnes) {
   ::unsetenv("EGI_TEST_COUNT");
 }
 
+TEST(FlagsTest, NumericFlagsParseTheWholeValue) {
+  char prog[] = "egid";
+  char buffer[] = "--buffer=4k";
+  char window[] = "--window=abc";
+  char queue[] = "--queue-capacity=";
+  char http_port[] = "--http-port= 8080 ";
+  char rate[] = "--points-per-second=2.5e3";
+  char burst[] = "--quota-burst=1.5x";
+  char interval[] = "--checkpoint-interval=nan";
+  char* argv[] = {prog,      buffer, window, queue,
+                  http_port, rate,   burst,  interval};
+  const Flags flags(8, argv);
+
+  // A unit suffix, garbage or an empty value is an error naming the flag,
+  // never a truncated number; the output keeps its value.
+  size_t size = 99;
+  EXPECT_EQ(flags.Count("buffer", 4096, nullptr, &size).message(),
+            "--buffer expects an integer, got '4k'");
+  EXPECT_EQ(flags.Count("window", 64, nullptr, &size).message(),
+            "--window expects an integer, got 'abc'");
+  EXPECT_EQ(flags.Count("queue-capacity", 8192, nullptr, &size).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(size, 99u);
+  int port = -1;
+  EXPECT_EQ(flags.Int("http-port", 0, nullptr, &port).message(),
+            "--http-port expects an integer, got ' 8080 '");
+  EXPECT_EQ(port, -1);
+  double value = -1.0;
+  ASSERT_TRUE(flags.Double("points-per-second", 0.0, nullptr, &value).ok());
+  EXPECT_EQ(value, 2500.0);
+  EXPECT_EQ(flags.Double("quota-burst", 0.0, nullptr, &value).message(),
+            "--quota-burst expects a finite number, got '1.5x'");
+  EXPECT_EQ(flags.Double("checkpoint-interval", 0.0, nullptr, &value).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(value, 2500.0);
+
+  // The environment twin is parsed the same way and named in the error; an
+  // empty variable counts as unset, and a flag wins over its twin.
+  ::setenv("EGI_TEST_FLAG", "8k", 1);
+  EXPECT_EQ(flags.Count("refit-interval", 512, "EGI_TEST_FLAG", &size)
+                .message(),
+            "EGI_TEST_FLAG expects an integer, got '8k'");
+  EXPECT_EQ(flags.Int("ingest-port", 0, "EGI_TEST_FLAG", &port).message(),
+            "EGI_TEST_FLAG expects an integer, got '8k'");
+  EXPECT_EQ(flags.Count("buffer", 4096, "EGI_TEST_FLAG", &size).message(),
+            "--buffer expects an integer, got '4k'");
+  ::setenv("EGI_TEST_FLAG", "0.25", 1);
+  ASSERT_TRUE(flags.Double("probe-interval", 1.0, "EGI_TEST_FLAG", &value)
+                  .ok());
+  EXPECT_EQ(value, 0.25);
+  ASSERT_TRUE(flags.Double("points-per-second", 0.0, "EGI_TEST_FLAG", &value)
+                  .ok());
+  EXPECT_EQ(value, 2500.0);
+  EXPECT_EQ(flags.Int("ingest-port", 0, "EGI_TEST_FLAG", &port).message(),
+            "EGI_TEST_FLAG expects an integer, got '0.25'");
+  ::setenv("EGI_TEST_FLAG", "8081", 1);
+  ASSERT_TRUE(flags.Int("ingest-port", 0, "EGI_TEST_FLAG", &port).ok());
+  EXPECT_EQ(port, 8081);
+  ::setenv("EGI_TEST_FLAG", "", 1);
+  ASSERT_TRUE(flags.Count("refit-interval", 512, "EGI_TEST_FLAG", &size).ok());
+  EXPECT_EQ(size, 512u);
+  ::unsetenv("EGI_TEST_FLAG");
+}
+
 // -------------------------------------------------------------------- Env
 
 TEST(EnvTest, IntFallbackWhenUnset) {

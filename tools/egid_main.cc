@@ -57,8 +57,11 @@ int main(int argc, char** argv) {
   const egi::Flags flags(argc, argv);
 
   egi::service::HubServiceOptions options;
+  egi::service::ServerOptions server_options;
   options.spec = flags.Str("spec", "ensemble", "EGID_SPEC");
-  for (const egi::Status& count : {
+  options.checkpoint_path = flags.Str("checkpoint", "", "EGID_CHECKPOINT");
+  server_options.bind_address = flags.Str("bind", "127.0.0.1", "EGID_BIND");
+  for (const egi::Status& parsed : {
            flags.Count("window", 64, "EGID_WINDOW",
                        &options.stream.window_length),
            flags.Count("buffer", 4096, "EGID_BUFFER",
@@ -69,16 +72,22 @@ int main(int argc, char** argv) {
                        &options.queue_capacity),
            flags.Count("max-streams-per-tenant", 0,
                        "EGID_MAX_STREAMS_PER_TENANT",
-                       &options.max_streams_per_tenant)}) {
-    if (!count.ok()) {
-      std::fprintf(stderr, "egid: %s\n", count.ToString().c_str());
+                       &options.max_streams_per_tenant),
+           flags.Double("points-per-second", 0.0, "EGID_POINTS_PER_SECOND",
+                        &options.points_per_second),
+           flags.Double("quota-burst", 0.0, "EGID_QUOTA_BURST",
+                        &options.quota_burst),
+           flags.Int("http-port", 0, "EGID_HTTP_PORT",
+                     &server_options.http_port),
+           flags.Int("ingest-port", 0, "EGID_INGEST_PORT",
+                     &server_options.ingest_port),
+           flags.Double("checkpoint-interval", 0.0, "EGID_CHECKPOINT_INTERVAL",
+                        &server_options.checkpoint_interval_seconds)}) {
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "egid: %s\n", parsed.ToString().c_str());
       return 1;
     }
   }
-  options.checkpoint_path = flags.Str("checkpoint", "", "EGID_CHECKPOINT");
-  options.points_per_second =
-      flags.Double("points-per-second", 0.0, "EGID_POINTS_PER_SECOND");
-  options.quota_burst = flags.Double("quota-burst", 0.0, "EGID_QUOTA_BURST");
 
   auto service = egi::service::HubService::Create(std::move(options));
   if (!service.ok()) {
@@ -86,15 +95,6 @@ int main(int argc, char** argv) {
                  service.status().ToString().c_str());
     return 1;
   }
-
-  egi::service::ServerOptions server_options;
-  server_options.bind_address = flags.Str("bind", "127.0.0.1", "EGID_BIND");
-  server_options.http_port =
-      static_cast<int>(flags.Int("http-port", 0, "EGID_HTTP_PORT"));
-  server_options.ingest_port =
-      static_cast<int>(flags.Int("ingest-port", 0, "EGID_INGEST_PORT"));
-  server_options.checkpoint_interval_seconds =
-      flags.Double("checkpoint-interval", 0.0, "EGID_CHECKPOINT_INTERVAL");
 
   return egi::service::Serve(
       service->get(), server_options, "egid", "egid",

@@ -69,23 +69,35 @@ int main(int argc, char** argv) {
 
   egi::router::RouterOptions options;
   options.shards = std::move(*endpoints);
-  if (const egi::Status count =
-          flags.Count("channels-per-shard", 4, "EGID_ROUTER_CHANNELS_PER_SHARD",
-                      &options.channels_per_shard);
-      !count.ok()) {
-    std::fprintf(stderr, "egid_router: %s\n", count.ToString().c_str());
-    return 1;
+  egi::service::ServerOptions server_options;
+  server_options.bind_address =
+      flags.Str("bind", "127.0.0.1", "EGID_ROUTER_BIND");
+  double shard_timeout = 5.0;
+  for (const egi::Status& parsed : {
+           flags.Count("channels-per-shard", 4,
+                       "EGID_ROUTER_CHANNELS_PER_SHARD",
+                       &options.channels_per_shard),
+           flags.Double("acquire-timeout", 2.0, "EGID_ROUTER_ACQUIRE_TIMEOUT",
+                        &options.acquire_timeout_seconds),
+           flags.Double("migrate-timeout", 10.0, "EGID_ROUTER_MIGRATE_TIMEOUT",
+                        &options.migrate_timeout_seconds),
+           flags.Double("probe-interval", 1.0, "EGID_ROUTER_PROBE_INTERVAL",
+                        &options.probe_interval_seconds),
+           flags.Double("probe-backoff-max", 5.0,
+                        "EGID_ROUTER_PROBE_BACKOFF_MAX",
+                        &options.probe_backoff_max_seconds),
+           flags.Double("shard-timeout", 5.0, "EGID_ROUTER_SHARD_TIMEOUT",
+                        &shard_timeout),
+           flags.Int("http-port", 0, "EGID_ROUTER_HTTP_PORT",
+                     &server_options.http_port),
+           flags.Int("ingest-port", 0, "EGID_ROUTER_INGEST_PORT",
+                     &server_options.ingest_port)}) {
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "egid_router: %s\n", parsed.ToString().c_str());
+      return 1;
+    }
   }
-  options.acquire_timeout_seconds =
-      flags.Double("acquire-timeout", 2.0, "EGID_ROUTER_ACQUIRE_TIMEOUT");
-  options.migrate_timeout_seconds =
-      flags.Double("migrate-timeout", 10.0, "EGID_ROUTER_MIGRATE_TIMEOUT");
-  options.probe_interval_seconds =
-      flags.Double("probe-interval", 1.0, "EGID_ROUTER_PROBE_INTERVAL");
-  options.probe_backoff_max_seconds =
-      flags.Double("probe-backoff-max", 5.0, "EGID_ROUTER_PROBE_BACKOFF_MAX");
-  options.factory = egi::router::TcpChannelFactory(
-      flags.Double("shard-timeout", 5.0, "EGID_ROUTER_SHARD_TIMEOUT"));
+  options.factory = egi::router::TcpChannelFactory(shard_timeout);
 
   auto router = egi::router::RouterCore::Create(std::move(options));
   if (!router.ok()) {
@@ -93,14 +105,6 @@ int main(int argc, char** argv) {
                  router.status().ToString().c_str());
     return 1;
   }
-
-  egi::service::ServerOptions server_options;
-  server_options.bind_address =
-      flags.Str("bind", "127.0.0.1", "EGID_ROUTER_BIND");
-  server_options.http_port = static_cast<int>(
-      flags.Int("http-port", 0, "EGID_ROUTER_HTTP_PORT"));
-  server_options.ingest_port = static_cast<int>(
-      flags.Int("ingest-port", 0, "EGID_ROUTER_INGEST_PORT"));
 
   return egi::service::Serve(
       router->get(), server_options, "egid_router", "egid-router",

@@ -40,10 +40,14 @@ fail() {
 # A negative size flag is a clean startup error, not an abort or a daemon
 # that boots broken: cast to size_t, --buffer=-1 would overflow the ring
 # allocation, --refit-interval=-1 would never refit, and
-# --queue-capacity=-1 would switch backpressure off. The timeout turns a
-# daemon that boots anyway into a failure instead of a hang.
-for BAD_FLAG in --buffer=-1 --refit-interval=-1 --queue-capacity=-1; do
-  BAD_OUT=$(timeout 10 "$EGID" --window=16 "$BAD_FLAG" 2>&1)
+# --queue-capacity=-1 would switch backpressure off. So is a value that is
+# not a whole number: --buffer=4k must not boot with a 4-point buffer, nor
+# --window=abc with a window of 0. The bad flag goes first, since the first
+# of two --window flags wins. The timeout turns a daemon that boots anyway
+# into a failure instead of a hang.
+for BAD_FLAG in --buffer=-1 --refit-interval=-1 --queue-capacity=-1 \
+                --buffer=4k --window=abc; do
+  BAD_OUT=$(timeout 10 "$EGID" "$BAD_FLAG" --window=16 2>&1)
   BAD_STATUS=$?
   [[ $BAD_STATUS == 1 ]] \
     || fail "egid $BAD_FLAG exited $BAD_STATUS, not 1: $BAD_OUT"
