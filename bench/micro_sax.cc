@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -167,7 +168,7 @@ int main(int argc, char** argv) {
     TextTable bp_table("breakpoint resolution throughput");
     bp_table.SetHeader({"Alphabet", "Time (s)", "Symbols/sec"});
     for (const int a : {4, 8, 16}) {
-      const std::vector<double> breakpoints = sax::GaussianBreakpoints(a);
+      const std::span<const double> breakpoints = sax::GaussianBreakpoints(a);
       const double secs = bench::BestSeconds(reps, [&] {
         sax::simd::ActiveKernels().intervals(values.data(), values.size(),
                                              breakpoints.data(),

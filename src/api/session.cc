@@ -55,10 +55,10 @@ uint64_t StreamSession::refit_count() const {
 bool StreamSession::fitted() const { return impl_->detector.fitted(); }
 
 double StreamSession::RollingMean() const {
-  return impl_->detector.window().WindowMean();
+  return impl_->detector.RollingMean();
 }
 double StreamSession::RollingStdDev() const {
-  return impl_->detector.window().WindowStdDev();
+  return impl_->detector.RollingStdDev();
 }
 
 std::vector<double> StreamSession::BufferSnapshot() const {

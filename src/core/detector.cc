@@ -99,7 +99,7 @@ namespace {
 // discretization throws away.
 double SaxResidualVariance(std::span<const double> prefix,
                            const ts::PrefixStats& stats, size_t n, int w,
-                           const std::vector<double>& breakpoints,
+                           std::span<const double> breakpoints,
                            const std::vector<double>& centroids) {
   const size_t positions = prefix.size() - n + 1;
   const size_t stride = std::max<size_t>(1, n / 4);
@@ -176,10 +176,10 @@ Result<GiParams> SelectGiDetector::SelectParams(std::span<const double> series,
           std::log2(std::max(2.0, vocab)) /
           static_cast<double>(prefix.size());
 
-      const auto breakpoints = sax::GaussianBreakpoints(a);
       const auto centroids = sax::GaussianRegionCentroids(a);
-      const double var = SaxResidualVariance(prefix, stats, window_length, w,
-                                             breakpoints, centroids);
+      const double var =
+          SaxResidualVariance(prefix, stats, window_length, w,
+                              sax::GaussianBreakpoints(a), centroids);
       const double residual_bits_per_point =
           0.5 * std::log2(2.0 * M_PI * M_E * (var + 1e-12));
 

@@ -355,11 +355,9 @@ std::vector<double> CombineMemberCurves(
 
   // Combine point-wise (Line 14). The mean accumulates straight into the
   // compensated sum (same add order as ts::Mean, so bitwise-identical); the
-  // median fills one reused scratch column and takes nth_element in place
-  // (the same selection ts::Median performs, minus its per-point copy).
+  // median fills one reused scratch column and selects in place.
   std::vector<double> ensemble(len, 0.0);
   std::vector<double> column(keep_count);
-  const size_t mid = keep_count / 2;
   for (size_t t = 0; t < len; ++t) {
     if (spec.combine == CombineRule::kMean) {
       double sum = 0.0, comp = 0.0;
@@ -370,16 +368,7 @@ std::vector<double> CombineMemberCurves(
       continue;
     }
     for (size_t i = 0; i < keep_count; ++i) column[i] = rows[i][t];
-    std::nth_element(column.begin(),
-                     column.begin() + static_cast<ptrdiff_t>(mid),
-                     column.end());
-    double median = column[mid];
-    if (keep_count % 2 == 0) {
-      const double lo = *std::max_element(
-          column.begin(), column.begin() + static_cast<ptrdiff_t>(mid));
-      median = 0.5 * (lo + median);
-    }
-    ensemble[t] = median;
+    ensemble[t] = ts::MedianInPlace(column);
   }
   return ensemble;
 }

@@ -1,6 +1,7 @@
 #include "sax/breakpoints.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "sax/normal_quantile.h"
@@ -16,19 +17,29 @@ double NormalPdf(double x) {
 
 double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 
+using BreakpointRows = std::array<std::vector<double>, kMaxAlphabetSize + 1>;
+
+// Row a holds alphabet a's breakpoints; rows 0 and 1 stay empty. Kept out
+// of line so that a lookup does not pay for this function's frame.
+[[gnu::noinline]] BreakpointRows BuildBreakpointRows() {
+  BreakpointRows rows;
+  for (int a = kMinAlphabetSize; a <= kMaxAlphabetSize; ++a) {
+    for (int i = 1; i < a; ++i) {
+      rows[static_cast<size_t>(a)].push_back(InverseNormalCdf(
+          static_cast<double>(i) / static_cast<double>(a)));
+    }
+  }
+  return rows;
+}
+
 }  // namespace
 
-std::vector<double> GaussianBreakpoints(int alphabet_size) {
+std::span<const double> GaussianBreakpoints(int alphabet_size) {
   EGI_CHECK(alphabet_size >= kMinAlphabetSize &&
             alphabet_size <= kMaxAlphabetSize)
       << "alphabet size " << alphabet_size << " out of range";
-  std::vector<double> bps(static_cast<size_t>(alphabet_size) - 1);
-  for (int i = 1; i < alphabet_size; ++i) {
-    bps[static_cast<size_t>(i) - 1] =
-        InverseNormalCdf(static_cast<double>(i) /
-                         static_cast<double>(alphabet_size));
-  }
-  return bps;
+  static const BreakpointRows table = BuildBreakpointRows();
+  return table[static_cast<size_t>(alphabet_size)];
 }
 
 int SymbolForValue(double value, std::span<const double> breakpoints) {
@@ -42,7 +53,7 @@ char SymbolToChar(int symbol) {
 }
 
 std::vector<double> GaussianRegionCentroids(int alphabet_size) {
-  const auto bps = GaussianBreakpoints(alphabet_size);
+  const std::span<const double> bps = GaussianBreakpoints(alphabet_size);
   std::vector<double> centroids(static_cast<size_t>(alphabet_size));
   for (int i = 0; i < alphabet_size; ++i) {
     // Region i spans (lo, hi] with phi/Phi at infinity handled as 0/1.
@@ -63,16 +74,11 @@ BreakpointSummary::BreakpointSummary(int amax) : amax_(amax) {
   EGI_CHECK(amax >= kMinAlphabetSize && amax <= kMaxAlphabetSize)
       << "amax " << amax << " out of range";
 
-  // Each alphabet's breakpoints, computed once (index a - 2).
-  std::vector<std::vector<double>> per_alphabet;
-  for (int a = kMinAlphabetSize; a <= amax; ++a) {
-    per_alphabet.push_back(GaussianBreakpoints(a));
-  }
-
   // Merge all breakpoints. Identical quantile probabilities produce
   // bit-identical doubles (i/a is correctly rounded, and InverseNormalCdf is
   // deterministic), so exact dedup is sufficient.
-  for (const auto& bps : per_alphabet) {
+  for (int a = kMinAlphabetSize; a <= amax; ++a) {
+    const std::span<const double> bps = GaussianBreakpoints(a);
     merged_.insert(merged_.end(), bps.begin(), bps.end());
   }
   std::sort(merged_.begin(), merged_.end());
@@ -98,10 +104,11 @@ BreakpointSummary::BreakpointSummary(int amax) : amax_(amax) {
     reps[j] = rep;
   }
   symbols_.resize(intervals * (static_cast<size_t>(amax_) - 1));
-  for (size_t k = 0; k < per_alphabet.size(); ++k) {
-    uint8_t* row = symbols_.data() + k * intervals;
+  for (int a = kMinAlphabetSize; a <= amax; ++a) {
+    const std::span<const double> bps = GaussianBreakpoints(a);
+    uint8_t* row = symbols_.data() + static_cast<size_t>(a - 2) * intervals;
     for (size_t j = 0; j < intervals; ++j) {
-      row[j] = static_cast<uint8_t>(SymbolForValue(reps[j], per_alphabet[k]));
+      row[j] = static_cast<uint8_t>(SymbolForValue(reps[j], bps));
     }
   }
 }

@@ -13,8 +13,11 @@ inline constexpr int kMinAlphabetSize = 2;
 
 /// Gaussian-equiprobable breakpoints for an alphabet of size `a`:
 /// the (a-1) quantiles at i/a, i = 1..a-1 (paper Section 4.1 / Figure 3).
-/// Requires kMinAlphabetSize <= a <= kMaxAlphabetSize.
-std::vector<double> GaussianBreakpoints(int alphabet_size);
+/// The span points into one table for every supported alphabet, computed
+/// on first use and kept for the life of the process, so every caller of
+/// the same `a` reads the same storage. Requires
+/// kMinAlphabetSize <= a <= kMaxAlphabetSize.
+std::span<const double> GaussianBreakpoints(int alphabet_size);
 
 /// Symbol index (0-based) for `value` given a sorted breakpoint vector:
 /// region i is [b[i-1], b[i]) with b[-1] = -inf, b[a-1] = +inf.
@@ -36,9 +39,9 @@ std::vector<double> GaussianRegionCentroids(int alphabet_size);
 /// then resolved for all alphabet sizes with a single binary search.
 class BreakpointSummary {
  public:
-  /// Builds the summary for alphabet sizes [2, amax]: each alphabet's
-  /// breakpoints are computed once, then every interval is resolved against
-  /// them. O(amax^3 log amax).
+  /// Builds the summary for alphabet sizes [2, amax]: every interval is
+  /// resolved against each alphabet's shared GaussianBreakpoints.
+  /// O(amax^3 log amax).
   explicit BreakpointSummary(int amax);
 
   int amax() const { return amax_; }

@@ -33,6 +33,14 @@ namespace {
 /// RequestStop.
 constexpr std::chrono::milliseconds kPoll{200};
 
+/// A listener port must fit the socket's 16 bits; cast, 70000 would listen
+/// on 4464 and -1 on 65535.
+Status CheckPort(const std::string& option, int port) {
+  if (port >= 0 && port <= 65535) return Status::OK();
+  return Status::InvalidArgument(option + " " + std::to_string(port) +
+                                 " is outside [0, 65535]");
+}
+
 }  // namespace
 
 struct Server::Impl {
@@ -56,7 +64,7 @@ struct Server::Impl {
     std::thread thread;
     bool done = false;  // guarded by conns_mu
   };
-  std::mutex conns_mu;
+  mutable std::mutex conns_mu;
   std::list<Connection> conns;
 
   Result<int> Listen(int port, int* bound_port);
@@ -123,6 +131,8 @@ Result<int> Server::Impl::Listen(int port, int* bound_port) {
 }
 
 Status Server::Start() {
+  EGI_RETURN_IF_ERROR(CheckPort("http_port", impl_->options.http_port));
+  EGI_RETURN_IF_ERROR(CheckPort("ingest_port", impl_->options.ingest_port));
   EGI_ASSIGN_OR_RETURN(impl_->http_fd, impl_->Listen(impl_->options.http_port,
                                                      &impl_->http_port));
   auto ingest = impl_->Listen(impl_->options.ingest_port,
@@ -146,6 +156,11 @@ Status Server::Start() {
 
 int Server::http_port() const { return impl_->http_port; }
 int Server::ingest_port() const { return impl_->ingest_port; }
+
+size_t Server::connection_threads() const {
+  std::lock_guard<std::mutex> lock(impl_->conns_mu);
+  return impl_->conns.size();
+}
 
 void Server::RequestStop() {
   impl_->stop.store(true, std::memory_order_relaxed);

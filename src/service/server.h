@@ -23,6 +23,7 @@
 // final checkpoint).
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -35,8 +36,9 @@ namespace egi::service {
 
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
-  /// Ports to listen on; 0 picks an ephemeral port (read back via
-  /// http_port()/ingest_port() — the tests and the smoke script do this).
+  /// Ports to listen on, in [0, 65535]; 0 picks an ephemeral port (read
+  /// back via http_port()/ingest_port() — the tests and the smoke script do
+  /// this).
   int http_port = 0;
   int ingest_port = 0;
   /// Seconds between periodic background checkpoints; 0 disables the timer
@@ -54,12 +56,17 @@ class Server {
 
   /// Binds and listens on both ports and starts the accept loops (plus the
   /// checkpoint timer when configured). Returns an error without side
-  /// effects if either port cannot be bound.
+  /// effects if either port cannot be bound, and InvalidArgument naming the
+  /// option before binding anything if a port is outside [0, 65535].
   Status Start();
 
   /// Actual bound ports (after Start).
   int http_port() const;
   int ingest_port() const;
+
+  /// Connection threads not yet joined: running ones plus finished ones the
+  /// accept loops have not reaped yet (they reap within one poll period).
+  size_t connection_threads() const;
 
   /// Flags the server to stop. Async-signal-safe: one relaxed atomic store.
   void RequestStop();

@@ -51,6 +51,10 @@ Deadline DeadlineIn(double seconds) {
 }
 
 Result<int> Dial(const std::string& host, int port) {
+  if (port < 1 || port > 65535) {
+    return Status::InvalidArgument("port " + std::to_string(port) +
+                                   " is outside [1, 65535]");
+  }
   struct sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;

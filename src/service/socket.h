@@ -24,7 +24,8 @@ using Deadline = std::chrono::steady_clock::time_point;
 Deadline DeadlineIn(double seconds);
 
 /// Connects a TCP socket to `host:port` (an IPv4 literal, or a name
-/// resolved with getaddrinfo) with Nagle off. The caller owns the fd.
+/// resolved with getaddrinfo) with Nagle off. The caller owns the fd. A
+/// port outside [1, 65535] is InvalidArgument.
 Result<int> Dial(const std::string& host, int port);
 
 /// Writes all `size` bytes, retrying short writes and EINTR.

@@ -74,7 +74,7 @@ Status StreamDetector::ValidateOptions(const StreamDetectorOptions& options) {
 
 StreamDetector::StreamDetector(StreamDetectorOptions options)
     : options_(options),
-      window_(options.buffer_capacity, options.ensemble.window_length),
+      points_(options.buffer_capacity),
       scores_(options.buffer_capacity),
       effective_interval_(options.refit_interval) {
   const Status st = ValidateOptions(options_);
@@ -102,15 +102,21 @@ StreamPoint StreamDetector::Append(double value) {
     return pt;
   }
 
-  const bool was_full = window_.size() == window_.capacity();
+  const size_t n = window_length();
+  const bool was_full = points_.full();
   if (was_full) evicted->Add(1);
-  window_.Append(value);
-  if (!was_full && window_.size() == window_.capacity()) {
+  // Retire the value leaving the trailing window before the push shifts
+  // logical indices. It is still buffered here because capacity >= n.
+  if (points_.size() >= n) window_stats_.Remove(points_[points_.size() - n]);
+  points_.PushBack(value);
+  window_stats_.Add(value);
+  ++buffered_total_;
+  if (!was_full && points_.full()) {
     // The ring just reached capacity: from here on every append evicts the
     // oldest point. Once per stream lifetime, so it goes to the journal.
     Telemetry().journal().Emit(
         "stream.ring_wrapped",
-        {{"capacity", std::to_string(window_.capacity())},
+        {{"capacity", std::to_string(points_.capacity())},
          {"appended", std::to_string(appended_)}});
   }
   ++since_refit_;
@@ -118,7 +124,7 @@ StreamPoint StreamDetector::Append(double value) {
   // Incremental path: score the one new sliding window against the model
   // fitted at the last refit.
   double score = std::numeric_limits<double>::quiet_NaN();
-  if (fitted() && window_.WindowReady()) {
+  if (fitted() && points_.size() >= n) {
     score = ProvisionalScore();
     pt.score = score;
     pt.scored = true;
@@ -140,7 +146,7 @@ StreamPoint StreamDetector::Append(double value) {
   if (due && options_.refit_policy == RefitPolicy::kAdaptive && fitted()) {
     due = AdaptiveRefitDue();
   }
-  if (due && window_.size() >= window_length()) {
+  if (due && points_.size() >= n) {
     if (RefitNow().ok()) {
       pt.score = scores_.back();  // exact batch density for this point
       pt.scored = true;
@@ -231,16 +237,16 @@ Status StreamDetector::RefitNow() {
   static auto* failures = Telemetry().GetCounter("stream.refit_failures");
   static auto* refit_hist = Telemetry().GetHistogram("stream.refit_seconds");
   telemetry::ScopedTimer refit_timer(refit_hist);
-  if (window_.size() < window_length()) {
+  if (points_.size() < window_length()) {
     failures->Add(1);
     last_refit_status_ = Status::FailedPrecondition(
         "refit needs at least one full window buffered");
     return last_refit_status_;
   }
   Telemetry().journal().Emit(
-      "refit.started", {{"buffered", std::to_string(window_.size())},
+      "refit.started", {{"buffered", std::to_string(points_.size())},
                         {"appended", std::to_string(appended_)}});
-  const std::vector<double> snapshot = window_.Snapshot();
+  const std::vector<double> snapshot = points_.Snapshot();
 
   // The replay-equivalence contract: this is literally the batch Algorithm 1
   // on the buffered window, so ScoresSnapshot() right after a refit is
@@ -261,27 +267,18 @@ Status StreamDetector::RefitNow() {
   last_ensemble_ = std::move(*result);
   scores_.Assign(last_ensemble_.density);
 
-  // Rebuild the per-member word-frequency models that the incremental path
+  // Adopt the kept members' word counts as the models the incremental path
   // scores against. Only kept members contribute to the ensemble curve, so
   // only they are modelled; counts are in sliding-window positions (each
   // numerosity-reduced token covers a run of identically-encoded positions).
   // The refit's token table is sized for the member's run count; the model
-  // keeps it compacted to its vocabulary (same ids, far fewer slots), so
-  // counts live in a dense vector keyed by token id and no word is ever
-  // rendered.
+  // keeps it compacted to its vocabulary (same ids, far fewer slots).
   models_.clear();
   for (size_t m = 0; m < last_ensemble_.members.size(); ++m) {
-    const auto& member = last_ensemble_.members[m];
-    if (!member.kept) continue;
+    if (!last_ensemble_.members[m].kept) continue;
     core::MemberWordCounts& counts = artifacts.word_counts[m];
-    MemberModel model;
-    model.paa_size = member.paa_size;
-    model.alphabet_size = member.alphabet_size;
-    model.breakpoints = sax::GaussianBreakpoints(model.alphabet_size);
-    model.table = counts.table.Compacted();
-    model.position_counts = std::move(counts.position_counts);
-    model.max_count = counts.max_count;
-    models_.push_back(std::move(model));
+    counts.table = counts.table.Compacted();
+    models_.push_back(std::move(counts));
   }
 
   since_refit_ = 0;
@@ -296,14 +293,14 @@ Status StreamDetector::RefitNow() {
   drift_base_std_ = 0.0;
   Telemetry().journal().Emit(
       "refit.adopted", {{"members_kept", std::to_string(models_.size())},
-                        {"buffered", std::to_string(window_.size())}});
+                        {"buffered", std::to_string(points_.size())}});
   last_refit_status_ = Status::OK();
   return last_refit_status_;
 }
 
 std::vector<size_t> StreamDetector::ModelSlotCountsForTest() const {
   std::vector<size_t> slots;
-  for (const MemberModel& model : models_) {
+  for (const core::MemberWordCounts& model : models_) {
     slots.push_back(model.table.slot_count());
   }
   return slots;
@@ -312,7 +309,7 @@ std::vector<size_t> StreamDetector::ModelSlotCountsForTest() const {
 double StreamDetector::ProvisionalScore() {
   const size_t n = window_length();
   scratch_window_.resize(n);
-  window_.CopyWindow(scratch_window_);
+  points_.CopyLast(n, scratch_window_);
 
   // The newest window is the whole series here: prefix sums over it alone
   // and the batch PAA kernel at position 0 give bit for bit the
@@ -325,25 +322,28 @@ double StreamDetector::ProvisionalScore() {
   size_t rows_end = 0;
 
   member_scores_.clear();
-  for (const MemberModel& model : models_) {
-    const auto uw = static_cast<size_t>(model.paa_size);
+  for (const core::MemberWordCounts& model : models_) {
+    const sax::WordCodec& codec = model.table.codec();
+    const int w = codec.word_length();
+    const auto uw = static_cast<size_t>(w);
     size_t& row = paa_row_of_w_[uw];
     if (row == kNoRow) {
       row = rows_end;
       rows_end += uw;
       if (paa_coeffs_.size() < rows_end) paa_coeffs_.resize(rows_end);
-      fast_paa.ComputeBlock(0, 1, n, model.paa_size,
-                            {paa_coeffs_.data() + row, uw});
+      fast_paa.ComputeBlock(0, 1, n, w, {paa_coeffs_.data() + row, uw});
     }
-    // The member's word: its w coefficients resolved against its own
-    // breakpoints in one batched kernel call (same upper_bound semantics as
-    // the merged axis EncodeAll uses, symbol for symbol — tested incl.
-    // NaN/±inf and values exactly on a breakpoint), packed into a code.
+    // The member's word: its w coefficients resolved against its
+    // alphabet's breakpoints in one batched kernel call (same upper_bound
+    // semantics as the merged axis EncodeAll uses, symbol for symbol —
+    // tested incl. NaN/±inf and values exactly on a breakpoint), packed
+    // into a code.
+    const std::span<const double> breakpoints =
+        sax::GaussianBreakpoints(codec.alphabet_size());
     symbol_scratch_.resize(uw);
-    sax::simd::ActiveKernels().intervals(
-        paa_coeffs_.data() + row, uw, model.breakpoints.data(),
-        model.breakpoints.size(), symbol_scratch_.data());
-    const sax::WordCodec& codec = model.table.codec();
+    sax::simd::ActiveKernels().intervals(paa_coeffs_.data() + row, uw,
+                                         breakpoints.data(), breakpoints.size(),
+                                         symbol_scratch_.data());
     sax::WordCode code;
     for (size_t i = 0; i < uw; ++i) {
       codec.AppendSymbol(code, static_cast<int>(symbol_scratch_[i]));
@@ -361,18 +361,7 @@ double StreamDetector::ProvisionalScore() {
   if (options_.ensemble.combine != core::CombineRule::kMedian) {
     return ts::Mean(member_scores_);
   }
-  // In-place median over the per-point scratch (ts::Median would copy its
-  // input, putting a heap allocation on every Append).
-  const size_t mid = member_scores_.size() / 2;
-  std::nth_element(member_scores_.begin(), member_scores_.begin() + mid,
-                   member_scores_.end());
-  double median = member_scores_[mid];
-  if (member_scores_.size() % 2 == 0) {
-    const double below = *std::max_element(member_scores_.begin(),
-                                           member_scores_.begin() + mid);
-    median = (below + median) / 2.0;
-  }
-  return median;
+  return ts::MedianInPlace(member_scores_);  // no per-point allocation
 }
 
 }  // namespace egi::stream

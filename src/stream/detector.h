@@ -7,9 +7,9 @@
 
 #include "core/ensemble.h"
 #include "egi/types.h"
-#include "sax/token_table.h"
 #include "serialize/bytes.h"
-#include "stream/stream_window.h"
+#include "stream/ring_buffer.h"
+#include "stream/rolling_stats.h"
 #include "ts/prefix_stats.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -108,7 +108,7 @@ class StreamDetector {
   const StreamDetectorOptions& options() const { return options_; }
   size_t window_length() const { return options_.ensemble.window_length; }
   uint64_t total_appended() const { return appended_; }
-  size_t buffered() const { return window_.size(); }
+  size_t buffered() const { return points_.size(); }
   uint64_t refit_count() const { return refits_; }
   uint64_t appends_since_refit() const { return since_refit_; }
   bool fitted() const { return refits_ > 0; }
@@ -121,11 +121,15 @@ class StreamDetector {
   /// Status of the most recent refit attempt (OK before any attempt).
   const Status& last_refit_status() const { return last_refit_status_; }
 
-  /// Rolling ingest-layer statistics of the trailing sliding window.
-  const StreamWindow& window() const { return window_; }
+  /// Rolling mean / sample std-dev of the trailing window_length points (or
+  /// of everything buffered while fewer are), for StreamSession's
+  /// RollingMean/RollingStdDev. Scoring does not read them: the provisional
+  /// scorer rebuilds prefix sums over the window it encodes.
+  double RollingMean() const { return window_stats_.Mean(); }
+  double RollingStdDev() const { return window_stats_.SampleStdDev(); }
 
   /// Linearized copy of the buffered points, oldest first.
-  std::vector<double> BufferSnapshot() const { return window_.Snapshot(); }
+  std::vector<double> BufferSnapshot() const { return points_.Snapshot(); }
 
   /// Scores aligned 1:1 with BufferSnapshot(). Entries are exact batch
   /// densities for points scored by the last refit, provisional values for
@@ -145,8 +149,8 @@ class StreamDetector {
   const core::EnsembleResult& last_ensemble() const { return last_ensemble_; }
 
   /// Serializes the complete detector state — options, counters, ring
-  /// contents, rolling-stats accumulators, per-member word-frequency models
-  /// (their TokenTables included), and the last ensemble result —
+  /// contents, rolling-stats accumulators, per-member word counts (their
+  /// TokenTables included), and the last ensemble result —
   /// into a versioned, checksummed snapshot blob (src/serialize, DESIGN.md
   /// "Snapshot format"). A detector restored from the blob continues
   /// **bitwise-identically** to the uninterrupted original: same scores,
@@ -165,23 +169,6 @@ class StreamDetector {
   std::vector<size_t> ModelSlotCountsForTest() const;
 
  private:
-  /// Word-frequency model of one kept ensemble member, fitted at refit
-  /// time: packed SAX word code -> number of sliding-window positions it
-  /// covered in the buffered window (numerosity-reduction run lengths
-  /// included). The refit's token table is kept compacted to its
-  /// vocabulary with the same ids, so counts are a dense vector indexed by
-  /// token id and the per-point lookup is one open-addressing probe on a
-  /// 128-bit code — no string is constructed, hashed, or compared anywhere
-  /// in the scoring path.
-  struct MemberModel {
-    int paa_size = 0;
-    int alphabet_size = 0;
-    std::vector<double> breakpoints;  // Gaussian, cached for the hot path
-    sax::TokenTable table;            // code -> id, the refit's, compacted
-    std::vector<double> position_counts;  // indexed by token id
-    double max_count = 0.0;
-  };
-
   Status RefitNow();
   double ProvisionalScore();
 
@@ -206,14 +193,23 @@ class StreamDetector {
   Status RestorePayload(serialize::ByteReader& r, uint32_t version);
 
   StreamDetectorOptions options_;
-  StreamWindow window_;
-  RingBuffer<double> scores_;  // aligned with window_.buffer()
+  RingBuffer<double> points_;  // the newest buffer_capacity finite points
+  RingBuffer<double> scores_;  // aligned with points_
+  RollingStats window_stats_;  // over the trailing window_length points
   uint64_t appended_ = 0;
+  uint64_t buffered_total_ = 0;  // points ever buffered; a snapshot field
   uint64_t since_refit_ = 0;
   uint64_t refits_ = 0;
   Status last_refit_status_;
   core::EnsembleResult last_ensemble_;
-  std::vector<MemberModel> models_;  // kept members only, draw order
+  // The word-frequency model of each kept member, in draw order: the
+  // refit's own word counts (packed SAX word code -> sliding-window
+  // positions it covered in the buffered window, numerosity-reduction runs
+  // included), with the token table compacted to its vocabulary under the
+  // same ids. The member's (w, a) is its table's codec. The per-point
+  // lookup is one open-addressing probe on a 128-bit code: no string is
+  // built, hashed or compared anywhere in the scoring path.
+  std::vector<core::MemberWordCounts> models_;
   // Adaptive-cadence state (kAdaptive; defaults are inert under kFixed).
   // drift_stats_ accumulates the provisional scores produced since the last
   // refit; the baseline (mean, std) is captured once refit_interval of them

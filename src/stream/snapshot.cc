@@ -1,12 +1,11 @@
 // Snapshot/restore of StreamDetector state (DESIGN.md "Snapshot format").
 //
 // The payload is written field-for-field from the live state and restored
-// verbatim — nothing numeric is recomputed on load except the per-member
-// Gaussian breakpoints, which are a pure function of the alphabet size.
-// That is what makes a restored detector continue bitwise-identically to
-// the uninterrupted original: the compensated rolling sums, the NaN markers
-// in the score ring, the interning order of every adopted TokenTable, and
-// the refit counters all survive exactly.
+// verbatim — nothing numeric is recomputed on load. That is what makes a
+// restored detector continue bitwise-identically to the uninterrupted
+// original: the compensated rolling sums, the NaN markers in the score
+// ring, the interning order of every adopted TokenTable, and the refit
+// counters all survive exactly.
 //
 // The decode side trusts nothing: ByteReader bounds-checks every read, the
 // envelope checksum catches bit flips, and RestorePayload re-validates the
@@ -19,7 +18,6 @@
 #include <utility>
 
 #include "egi/telemetry.h"
-#include "sax/breakpoints.h"
 #include "serialize/codecs.h"
 #include "serialize/format.h"
 #include "stream/detector.h"
@@ -143,10 +141,10 @@ void StreamDetector::WritePayload(ByteWriter& w) const {
   w.PutVarint(refits_);
   serialize::WriteStatus(w, last_refit_status_);
 
-  // Ingest layer: buffered points, rolling accumulators, append counter.
-  serialize::WriteDoubles(w, window_.Snapshot());
-  serialize::WriteRollingStats(w, window_.window_stats());
-  w.PutVarint(window_.total_appended());
+  // Ingest state: buffered points, rolling accumulators, buffered count.
+  serialize::WriteDoubles(w, points_.Snapshot());
+  serialize::WriteRollingStats(w, window_stats_);
+  w.PutVarint(buffered_total_);
 
   // Score ring (NaN marks "never scored" — the bit pattern survives).
   serialize::WriteDoubles(w, scores_.Snapshot());
@@ -162,11 +160,10 @@ void StreamDetector::WritePayload(ByteWriter& w) const {
     w.PutBool(m.kept);
   }
 
-  // Per-member word-frequency models, kept-member draw order. Breakpoints
-  // are not serialized (recomputed from the alphabet size on restore); the
-  // (w, a) layout travels inside each adopted TokenTable's codec.
+  // Per-member word counts, kept-member draw order; the (w, a) layout
+  // travels inside each adopted TokenTable's codec.
   w.PutVarint(models_.size());
-  for (const MemberModel& model : models_) {
+  for (const core::MemberWordCounts& model : models_) {
     serialize::WriteTokenTable(w, model.table);
     serialize::WriteDoubles(w, model.position_counts);
     w.PutDouble(model.max_count);
@@ -197,22 +194,18 @@ Status StreamDetector::RestorePayload(ByteReader& r, uint32_t version) {
   if (buffered.size() > options_.buffer_capacity) {
     return Status::InvalidArgument("buffered points exceed capacity");
   }
-  RollingStats stats;
-  EGI_RETURN_IF_ERROR(serialize::ReadRollingStats(r, &stats));
-  if (stats.count() != std::min(buffered.size(), window_length())) {
+  EGI_RETURN_IF_ERROR(serialize::ReadRollingStats(r, &window_stats_));
+  if (window_stats_.count() != std::min(buffered.size(), window_length())) {
     return Status::InvalidArgument(
         "rolling-stats count disagrees with the buffered window");
   }
-  uint64_t window_appended = 0;
-  {
-    size_t v = 0;
-    EGI_RETURN_IF_ERROR(ReadVarintSize(r, &v, "window total_appended"));
-    window_appended = v;
-  }
-  if (window_appended < buffered.size() || window_appended > appended_) {
+  EGI_RETURN_IF_ERROR(ReadVarintSize(r, &counter, "window total_appended"));
+  buffered_total_ = counter;
+  if (buffered_total_ < buffered.size() || buffered_total_ > appended_) {
     return Status::InvalidArgument("append counters are inconsistent");
   }
-  window_.RestoreState(buffered, stats.SaveState(), window_appended);
+  points_.Clear();
+  for (const double v : buffered) points_.PushBack(v);
 
   std::vector<double> scores;
   EGI_RETURN_IF_ERROR(serialize::ReadDoubles(r, &scores, /*allow_nan=*/true));
@@ -260,10 +253,8 @@ Status StreamDetector::RestorePayload(ByteReader& r, uint32_t version) {
   models_.reserve(model_count);
   size_t kept_index = 0;
   for (size_t i = 0; i < model_count; ++i) {
-    MemberModel model;
+    core::MemberWordCounts model;
     EGI_RETURN_IF_ERROR(serialize::ReadTokenTable(r, &model.table));
-    model.paa_size = model.table.codec().word_length();
-    model.alphabet_size = model.table.codec().alphabet_size();
     // Model i belongs to the i-th kept member, in draw order; its table
     // layout must be that member's (w, a).
     while (kept_index < last_ensemble_.members.size() &&
@@ -271,8 +262,9 @@ Status StreamDetector::RestorePayload(ByteReader& r, uint32_t version) {
       ++kept_index;
     }
     const core::EnsembleMember& member = last_ensemble_.members[kept_index++];
-    if (model.paa_size != member.paa_size ||
-        model.alphabet_size != member.alphabet_size) {
+    const sax::WordCodec& codec = model.table.codec();
+    if (codec.word_length() != member.paa_size ||
+        codec.alphabet_size() != member.alphabet_size) {
       return Status::InvalidArgument(
           "model table layout disagrees with its kept member");
     }
@@ -294,7 +286,6 @@ Status StreamDetector::RestorePayload(ByteReader& r, uint32_t version) {
       return Status::InvalidArgument(
           "max_count disagrees with the position counts");
     }
-    model.breakpoints = sax::GaussianBreakpoints(model.alphabet_size);
     models_.push_back(std::move(model));
   }
 

@@ -58,15 +58,17 @@ double PopulationStdDev(std::span<const double> values) {
 }
 
 double Median(std::span<const double> values) {
-  if (values.empty()) return 0.0;
   std::vector<double> copy(values.begin(), values.end());
-  const size_t mid = copy.size() / 2;
-  std::nth_element(copy.begin(), copy.begin() + static_cast<ptrdiff_t>(mid),
-                   copy.end());
-  double hi = copy[mid];
-  if (copy.size() % 2 == 1) return hi;
-  double lo =
-      *std::max_element(copy.begin(), copy.begin() + static_cast<ptrdiff_t>(mid));
+  return MedianInPlace(copy);
+}
+
+double MedianInPlace(std::span<double> values) {
+  if (values.empty()) return 0.0;
+  const auto mid = static_cast<ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), values.begin() + mid, values.end());
+  const double hi = values[static_cast<size_t>(mid)];
+  if (values.size() % 2 == 1) return hi;
+  const double lo = *std::max_element(values.begin(), values.begin() + mid);
   return 0.5 * (lo + hi);
 }
 

@@ -45,8 +45,15 @@ double SampleStdDev(std::span<const double> values);
 double PopulationStdDev(std::span<const double> values);
 
 /// Median (average of the two central order statistics for even sizes).
-/// Returns 0 for empty input. Does not modify the input.
+/// Returns 0 for empty input. Does not modify the input: it is
+/// MedianInPlace over a copy.
 double Median(std::span<const double> values);
+
+/// Median of `values` computed by reordering them in place (nth_element), so
+/// callers that reuse a scratch buffer pay no allocation. The library's one
+/// median: Median, the ensemble combine and the streaming scorer all call
+/// it. Returns 0 for empty input.
+double MedianInPlace(std::span<double> values);
 
 /// Smallest and largest value; {0, 0} for empty input.
 struct MinMax {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "sax/breakpoints.h"
@@ -86,6 +87,21 @@ TEST(BreakpointsTest, SharedQuantilesAreBitIdentical) {
   EXPECT_EQ(GaussianBreakpoints(12)[2], q4);
   EXPECT_EQ(GaussianBreakpoints(16)[3], q4);
   EXPECT_EQ(GaussianBreakpoints(20)[4], q4);
+}
+
+TEST(BreakpointsTest, EachAlphabetIsComputedOncePerProcess) {
+  for (int a = kMinAlphabetSize; a <= kMaxAlphabetSize; ++a) {
+    const std::span<const double> first = GaussianBreakpoints(a);
+    const std::span<const double> again = GaussianBreakpoints(a);
+    EXPECT_EQ(first.data(), again.data()) << "a=" << a;
+    ASSERT_EQ(again.size(), static_cast<size_t>(a - 1));
+    for (int i = 1; i < a; ++i) {
+      EXPECT_EQ(again[static_cast<size_t>(i) - 1],
+                InverseNormalCdf(static_cast<double>(i) /
+                                 static_cast<double>(a)))
+          << "a=" << a << " i=" << i;
+    }
+  }
 }
 
 TEST(SymbolForValueTest, RegionsAndBoundaries) {

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "stream/detector.h"
 #include "stream/ring_buffer.h"
 #include "stream/rolling_stats.h"
-#include "stream/stream_window.h"
 #include "ts/prefix_stats.h"
 #include "util/rng.h"
 
@@ -123,7 +124,19 @@ TEST(RollingStatsTest, CompensationSurvivesLongRuns) {
   EXPECT_NEAR(rs.Mean(), expected_last_mean, 1e-7);
 }
 
-// ------------------------------------------------------------ StreamWindow
+// ------------------------------------------------- detector ingest state
+
+// A detector that never refits within these tests' series, so only its
+// ingest state (points, rolling window stats, counters) moves.
+StreamDetector IngestOnlyDetector(size_t capacity, size_t n) {
+  StreamDetectorOptions opt;
+  opt.ensemble.window_length = n;
+  opt.ensemble.wmax = 2;
+  opt.ensemble.amax = 2;
+  opt.buffer_capacity = capacity;
+  opt.refit_interval = 1000;
+  return StreamDetector(opt);
+}
 
 TEST(StreamWindowTest, TracksTrailingWindowStats) {
   Rng rng(3);
@@ -132,44 +145,40 @@ TEST(StreamWindowTest, TracksTrailingWindowStats) {
   const ts::PrefixStats ps(series);
 
   const size_t capacity = 128, n = 32;
-  StreamWindow w(capacity, n);
-  EXPECT_FALSE(w.WindowReady());
+  StreamDetector d = IngestOnlyDetector(capacity, n);
   for (size_t i = 0; i < series.size(); ++i) {
-    w.Append(series[i]);
+    EXPECT_FALSE(d.Append(series[i]).scored);
+    EXPECT_EQ(d.buffered(), std::min(i + 1, capacity));
     if (i + 1 >= n) {
-      ASSERT_TRUE(w.WindowReady());
-      EXPECT_NEAR(w.WindowMean(), ps.RangeMean(i + 1 - n, n), 1e-9);
-      EXPECT_NEAR(w.WindowStdDev(), ps.RangeStdDev(i + 1 - n, n), 1e-9);
+      EXPECT_NEAR(d.RollingMean(), ps.RangeMean(i + 1 - n, n), 1e-9);
+      EXPECT_NEAR(d.RollingStdDev(), ps.RangeStdDev(i + 1 - n, n), 1e-9);
     }
   }
-  EXPECT_EQ(w.size(), capacity);
-  EXPECT_EQ(w.total_appended(), series.size());
+  EXPECT_EQ(d.refit_count(), 0u);
+  EXPECT_EQ(d.total_appended(), series.size());
 
-  // Snapshot is the last `capacity` points; CopyWindow the last n.
-  const auto snap = w.Snapshot();
+  // The buffer is the last `capacity` points, oldest first.
+  const auto snap = d.BufferSnapshot();
   ASSERT_EQ(snap.size(), capacity);
   for (size_t i = 0; i < capacity; ++i) {
     EXPECT_EQ(snap[i], series[series.size() - capacity + i]);
   }
-  std::vector<double> win(n);
-  w.CopyWindow(win);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(win[i], series[series.size() - n + i]);
-  }
 }
 
 TEST(StreamWindowTest, WindowStatsCorrectWhileFilling) {
-  StreamWindow w(16, 4);
-  w.Append(1.0);
-  w.Append(3.0);
-  EXPECT_DOUBLE_EQ(w.WindowMean(), 2.0);
-  EXPECT_FALSE(w.WindowReady());
-  w.Append(5.0);
-  w.Append(7.0);
-  EXPECT_TRUE(w.WindowReady());
-  EXPECT_DOUBLE_EQ(w.WindowMean(), 4.0);
-  w.Append(9.0);  // window is now {3, 5, 7, 9}
-  EXPECT_DOUBLE_EQ(w.WindowMean(), 6.0);
+  StreamDetector d = IngestOnlyDetector(16, 4);
+  d.Append(1.0);
+  d.Append(3.0);
+  EXPECT_DOUBLE_EQ(d.RollingMean(), 2.0);
+  EXPECT_LT(d.buffered(), d.window_length());
+  d.Append(5.0);
+  d.Append(7.0);
+  EXPECT_EQ(d.buffered(), d.window_length());
+  EXPECT_DOUBLE_EQ(d.RollingMean(), 4.0);
+  d.Append(9.0);  // window is now {3, 5, 7, 9}
+  EXPECT_DOUBLE_EQ(d.RollingMean(), 6.0);
+  EXPECT_EQ(d.BufferSnapshot(), (std::vector<double>{1, 3, 5, 7, 9}));
+  EXPECT_EQ(d.refit_count(), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -53,6 +54,42 @@ TEST(StatsTest, MedianDoesNotModifyInput) {
   std::vector<double> v{3.0, 1.0, 2.0};
   Median(v);
   EXPECT_EQ(v, (std::vector<double>{3.0, 1.0, 2.0}));
+}
+
+TEST(StatsTest, MedianInPlaceMatchesMedian) {
+  // Sizes 1..9 (odd and even), values from a small set so most draws tie,
+  // and from a continuous range. The in-place median must equal the sorted
+  // order statistics, and ts::Median, bit for bit, and keep the values.
+  Rng rng(23);
+  for (const bool ties : {true, false}) {
+    for (size_t size = 1; size <= 9; ++size) {
+      for (int trial = 0; trial < 50; ++trial) {
+        std::vector<double> v(size);
+        for (double& x : v) {
+          x = ties ? static_cast<double>(rng.UniformInt(0, 3)) * 0.25
+                   : rng.UniformDouble(-2.0, 2.0);
+        }
+        std::vector<double> sorted = v;
+        std::sort(sorted.begin(), sorted.end());
+        const size_t mid = size / 2;
+        const double want = size % 2 == 1
+                                ? sorted[mid]
+                                : 0.5 * (sorted[mid - 1] + sorted[mid]);
+        const double copied = Median(v);
+        std::vector<double> scratch = v;
+        const double in_place = MedianInPlace(scratch);
+        EXPECT_EQ(std::bit_cast<uint64_t>(in_place),
+                  std::bit_cast<uint64_t>(want))
+            << "size " << size << " ties " << ties;
+        EXPECT_EQ(std::bit_cast<uint64_t>(in_place),
+                  std::bit_cast<uint64_t>(copied));
+        std::sort(scratch.begin(), scratch.end());
+        EXPECT_EQ(scratch, sorted) << "reordered, not rewritten";
+      }
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_EQ(MedianInPlace(empty), 0.0);
 }
 
 TEST(StatsTest, FindMinMax) {

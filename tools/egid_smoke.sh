@@ -42,11 +42,14 @@ fail() {
 # allocation, --refit-interval=-1 would never refit, and
 # --queue-capacity=-1 would switch backpressure off. So is a value that is
 # not a whole number: --buffer=4k must not boot with a 4-point buffer, nor
-# --window=abc with a window of 0. The bad flag goes first, since the first
-# of two --window flags wins. The timeout turns a daemon that boots anyway
-# into a failure instead of a hang.
+# --window=abc with a window of 0. So is a port outside [0, 65535], which
+# would wrap (--http-port=70000 listening on 4464, --ingest-port=-1 on
+# 65535). The bad flag goes first, since the first of two --window flags
+# wins. The timeout turns a daemon that boots anyway into a failure instead
+# of a hang.
 for BAD_FLAG in --buffer=-1 --refit-interval=-1 --queue-capacity=-1 \
-                --buffer=4k --window=abc; do
+                --buffer=4k --window=abc --http-port=70000 \
+                --ingest-port=-1; do
   BAD_OUT=$(timeout 10 "$EGID" "$BAD_FLAG" --window=16 2>&1)
   BAD_STATUS=$?
   [[ $BAD_STATUS == 1 ]] \
