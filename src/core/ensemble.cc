@@ -46,19 +46,21 @@ struct ScreeningStat {
 // counts[t] = sliding-window positions covered by token t: each
 // numerosity-reduced token covers the run up to the next token's offset.
 void PositionCounts(const sax::DiscretizedSeries& series,
-                    std::vector<double>& counts) {
+                    std::vector<uint32_t>& counts) {
   const auto& seq = series.seq;
   const size_t num_positions = series.num_positions();
-  counts.assign(series.table.size(), 0.0);
+  EGI_CHECK(num_positions <= UINT32_MAX)
+      << num_positions << " window positions overflow a 32-bit count";
+  counts.assign(series.table.size(), 0);
   for (size_t j = 0; j < seq.size(); ++j) {
     const size_t next = j + 1 < seq.size() ? seq.offsets[j + 1] : num_positions;
     counts[static_cast<size_t>(seq.tokens[j])] +=
-        static_cast<double>(next - seq.offsets[j]);
+        static_cast<uint32_t>(next - seq.offsets[j]);
   }
 }
 
 ScreeningStat ScreenCandidate(const sax::DiscretizedSeries& series,
-                              std::vector<double>& counts_scratch,
+                              std::vector<uint32_t>& counts_scratch,
                               std::vector<double>& sample_scratch) {
   ScreeningStat stat;
   const auto& seq = series.seq;
@@ -77,8 +79,8 @@ ScreeningStat ScreenCandidate(const sax::DiscretizedSeries& series,
   size_t j = 0;
   for (size_t p = 0; p < num_positions; p += stride) {
     while (j + 1 < seq.size() && seq.offsets[j + 1] <= p) ++j;
-    sample_scratch.push_back(
-        counts_scratch[static_cast<size_t>(seq.tokens[j])]);
+    const uint32_t count = counts_scratch[static_cast<size_t>(seq.tokens[j])];
+    sample_scratch.push_back(static_cast<double>(count));
   }
   stat.curve_std = ts::PopulationStdDev(sample_scratch);
   return stat;
@@ -97,8 +99,8 @@ std::vector<double> InduceMember(sax::DiscretizedSeries& member,
   sax::DiscretizedSeries done = std::move(member);
   if (counts != nullptr) {
     PositionCounts(done, counts->position_counts);
-    for (const double c : counts->position_counts) {
-      counts->max_count = std::max(counts->max_count, c);
+    for (const uint32_t c : counts->position_counts) {
+      counts->max_count = std::max(counts->max_count, static_cast<double>(c));
     }
     counts->table = std::move(done.table);
   }
@@ -127,7 +129,8 @@ std::vector<size_t> ScreenCandidates(
   {
     telemetry::ScopedTimer timer(screen_hist);
     std::vector<ScreeningStat> proxy(discretized.size());
-    std::vector<double> counts_scratch, sample_scratch;
+    std::vector<uint32_t> counts_scratch;
+    std::vector<double> sample_scratch;
     for (size_t i = 0; i < discretized.size(); ++i) {
       proxy[i] =
           ScreenCandidate(discretized[i], counts_scratch, sample_scratch);

@@ -79,10 +79,14 @@ Status ValidateEnsembleParams(size_t series_length,
 /// Word statistics of one member's discretization: its distinct SAX words
 /// (token ids) and how many sliding-window positions each covers — a
 /// numerosity-reduced token covers a run of identically encoded positions.
+/// A count is a whole number of positions, kept in 32 bits: a member's
+/// counts sum to its series' window positions (a stream's buffer holds at
+/// most 2^26 points), and the scorer converts one to double before it
+/// divides by `max_count`.
 struct MemberWordCounts {
   sax::TokenTable table;
-  std::vector<double> position_counts;  ///< indexed by token id
-  double max_count = 0.0;               ///< max of position_counts, 0 if empty
+  std::vector<uint32_t> position_counts;  ///< indexed by token id
+  double max_count = 0.0;  ///< max of position_counts, 0 if empty
 };
 
 /// Per-member by-products of an ensemble run that callers may capture to

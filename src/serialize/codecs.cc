@@ -22,7 +22,9 @@ void WriteTokenTable(ByteWriter& w, const sax::TokenTable& table) {
   w.PutVarint(static_cast<uint64_t>(table.codec().word_length()));
   w.PutVarint(static_cast<uint64_t>(table.codec().alphabet_size()));
   w.PutVarint(table.size());
-  for (const sax::WordCode& code : table.codes()) WriteWordCode(w, code);
+  for (size_t id = 0; id < table.size(); ++id) {
+    WriteWordCode(w, table.CodeAt(static_cast<int32_t>(id)));
+  }
 }
 
 Status ReadTokenTable(ByteReader& r, sax::TokenTable* out) {
@@ -56,7 +58,7 @@ Status ReadTokenTable(ByteReader& r, sax::TokenTable* out) {
     high_mask.hi = ~uint64_t{0} << (total_bits - 64);
   }
 
-  sax::TokenTable table(codec);
+  sax::TokenTable table(codec, count);
   for (size_t i = 0; i < count; ++i) {
     sax::WordCode code;
     EGI_RETURN_IF_ERROR(ReadWordCode(r, &code));

@@ -24,8 +24,10 @@ Status ReadWordCode(ByteReader& r, sax::WordCode* out);
 // -------------------------------------------------------------- TokenTable
 
 /// Layout: word_length varint | alphabet_size varint | count varint |
-/// count x WordCode (id order). Slots are not serialized — re-interning the
-/// codes in id order reproduces the identical probe layout.
+/// count x WordCode (id order, 16 bytes each whatever the table's code
+/// width). Slots are not serialized — re-interning the codes in id order
+/// into a table sized for `count` reproduces the identical probe layout and
+/// the heap bytes of the writer's `Compacted()` table.
 void WriteTokenTable(ByteWriter& w, const sax::TokenTable& table);
 
 /// Rejects unsupported (w, a) layouts, codes with set bits outside the

@@ -298,14 +298,6 @@ Status StreamDetector::RefitNow() {
   return last_refit_status_;
 }
 
-std::vector<size_t> StreamDetector::ModelSlotCountsForTest() const {
-  std::vector<size_t> slots;
-  for (const core::MemberWordCounts& model : models_) {
-    slots.push_back(model.table.slot_count());
-  }
-  return slots;
-}
-
 double StreamDetector::ProvisionalScore() {
   const size_t n = window_length();
   scratch_window_.resize(n);
@@ -352,7 +344,8 @@ double StreamDetector::ProvisionalScore() {
     if (model.max_count > 0.0) {
       const int32_t id = model.table.Find(code);
       if (id >= 0) {
-        s = model.position_counts[static_cast<size_t>(id)] / model.max_count;
+        const uint32_t count = model.position_counts[static_cast<size_t>(id)];
+        s = static_cast<double>(count) / model.max_count;
       }
     }
     member_scores_.push_back(s);

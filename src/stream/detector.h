@@ -164,9 +164,11 @@ class StreamDetector {
   /// crash.
   static Result<StreamDetector> Deserialize(std::span<const uint8_t> blob);
 
-  /// Slot count of each kept member's token table, in draw order: tests pin
-  /// that the models hold vocabulary-sized tables, not run-sized ones.
-  std::vector<size_t> ModelSlotCountsForTest() const;
+  /// Each kept member's word counts, in draw order: tests pin that the
+  /// models hold vocabulary-sized tables, not run-sized ones.
+  std::span<const core::MemberWordCounts> ModelsForTest() const {
+    return models_;
+  }
 
  private:
   Status RefitNow();
@@ -207,7 +209,7 @@ class StreamDetector {
   // positions it covered in the buffered window, numerosity-reduction runs
   // included), with the token table compacted to its vocabulary under the
   // same ids. The member's (w, a) is its table's codec. The per-point
-  // lookup is one open-addressing probe on a 128-bit code: no string is
+  // lookup is one open-addressing probe on a packed code: no string is
   // built, hashed or compared anywhere in the scoring path.
   std::vector<core::MemberWordCounts> models_;
   // Adaptive-cadence state (kAdaptive; defaults are inert under kFixed).

@@ -161,11 +161,14 @@ void StreamDetector::WritePayload(ByteWriter& w) const {
   }
 
   // Per-member word counts, kept-member draw order; the (w, a) layout
-  // travels inside each adopted TokenTable's codec.
+  // travels inside each adopted TokenTable's codec. Each 32-bit count is
+  // written as a double, the layout of blobs written before counts were
+  // kept in 32 bits.
   w.PutVarint(models_.size());
   for (const core::MemberWordCounts& model : models_) {
     serialize::WriteTokenTable(w, model.table);
-    serialize::WriteDoubles(w, model.position_counts);
+    w.PutVarint(model.position_counts.size());
+    for (const uint32_t c : model.position_counts) w.PutDouble(c);
     w.PutDouble(model.max_count);
   }
 
@@ -268,17 +271,22 @@ Status StreamDetector::RestorePayload(ByteReader& r, uint32_t version) {
       return Status::InvalidArgument(
           "model table layout disagrees with its kept member");
     }
-    EGI_RETURN_IF_ERROR(serialize::ReadDoubles(r, &model.position_counts,
-                                               /*allow_nan=*/false));
-    if (model.position_counts.size() != model.table.size()) {
+    std::vector<double> counts;
+    EGI_RETURN_IF_ERROR(
+        serialize::ReadDoubles(r, &counts, /*allow_nan=*/false));
+    if (counts.size() != model.table.size()) {
       return Status::InvalidArgument(
           "position counts disagree with the token table");
     }
+    model.position_counts.reserve(counts.size());
     double expected_max = 0.0;
-    for (const double c : model.position_counts) {
-      if (c < 0.0) {
-        return Status::InvalidArgument("negative position count");
+    for (const double c : counts) {
+      if (!(c >= 0.0 && c < 0x1p32) || c != std::floor(c)) {
+        return Status::InvalidArgument(
+            "position_counts entry " + std::to_string(c) +
+            " is not a whole number in [0, 2^32)");
       }
+      model.position_counts.push_back(static_cast<uint32_t>(c));
       expected_max = std::max(expected_max, c);
     }
     EGI_RETURN_IF_ERROR(r.ReadFiniteDouble(&model.max_count));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <thread>
@@ -12,9 +11,9 @@ namespace egi {
 
 namespace {
 
-// strtoll/strtod skip leading whitespace themselves; skip it after the
-// number too, so " 4" and "4 " parse symmetrically (daemon config files and
-// shell-exported values routinely carry a stray trailing space).
+// strtoll skips leading whitespace itself; skip it after the number too, so
+// " 4" and "4 " parse symmetrically (daemon config files and shell-exported
+// values routinely carry a stray trailing space).
 const char* SkipTrailingSpace(const char* p) {
   while (p != nullptr && *p != '\0' &&
          std::isspace(static_cast<unsigned char>(*p))) {
@@ -53,23 +52,6 @@ bool GetEnvBool(const char* name, bool fallback) {
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
   return fallback;
-}
-
-double GetEnvDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  double v = std::strtod(raw, &end);
-  if (end == raw) return fallback;
-  if (const char* rest = SkipTrailingSpace(end); rest != nullptr && *rest != '\0') {
-    return fallback;
-  }
-  // Overflow saturates to +/-HUGE_VAL with errno == ERANGE; fall back
-  // instead of using the saturation. Underflow also sets ERANGE but yields
-  // a representable subnormal (or zero), which is kept as parsed.
-  if (errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL)) return fallback;
-  return v;
 }
 
 std::string GetEnvString(const char* name, const std::string& fallback) {

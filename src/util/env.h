@@ -14,9 +14,6 @@ int64_t GetEnvInt(const char* name, int64_t fallback);
 /// true; anything else (or unset) yields `fallback`.
 bool GetEnvBool(const char* name, bool fallback);
 
-/// Reads a double-valued env var with fallback.
-double GetEnvDouble(const char* name, double fallback);
-
 /// Reads a string env var with fallback.
 std::string GetEnvString(const char* name, const std::string& fallback);
 

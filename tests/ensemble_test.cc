@@ -337,15 +337,16 @@ TEST(EnsembleTest, WordCountsMatchAFreshEncode) {
       }
       ++built;
       const sax::DiscretizedSeries& d = (*fresh)[m];
-      std::vector<double> counts(d.table.size(), 0.0);
+      std::vector<uint32_t> counts(d.table.size(), 0);
       for (size_t j = 0; j < d.seq.size(); ++j) {
         const size_t next =
             j + 1 < d.seq.size() ? d.seq.offsets[j + 1] : d.num_positions();
         counts[static_cast<size_t>(d.seq.tokens[j])] +=
-            static_cast<double>(next - d.seq.offsets[j]);
+            static_cast<uint32_t>(next - d.seq.offsets[j]);
       }
       EXPECT_EQ(got.position_counts, counts) << "member " << m;
-      EXPECT_EQ(got.max_count, *std::max_element(counts.begin(), counts.end()));
+      EXPECT_EQ(got.max_count, static_cast<double>(*std::max_element(
+                                   counts.begin(), counts.end())));
       ASSERT_EQ(got.table.size(), d.table.size()) << "member " << m;
       for (int32_t id = 0; id < static_cast<int32_t>(d.table.size()); ++id) {
         EXPECT_TRUE(got.table.CodeAt(id) == d.table.CodeAt(id));

@@ -6,6 +6,7 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "egi/primitives.h"
@@ -59,15 +60,21 @@ DiscretizedSeries ReferenceDiscretize(std::span<const double> series,
   return out;
 }
 
+// A table's codes in id order.
+std::vector<WordCode> CodesOf(const TokenTable& table) {
+  std::vector<WordCode> codes;
+  for (size_t id = 0; id < table.size(); ++id) {
+    codes.push_back(table.CodeAt(static_cast<int32_t>(id)));
+  }
+  return codes;
+}
+
 // Tokens, offsets and the table's codes in id order.
 void ExpectSameDiscretization(const DiscretizedSeries& got,
                               const DiscretizedSeries& want) {
   EXPECT_EQ(got.seq.tokens, want.seq.tokens);
   EXPECT_EQ(got.seq.offsets, want.seq.offsets);
-  ASSERT_EQ(got.table.size(), want.table.size());
-  for (size_t i = 0; i < got.table.size(); ++i) {
-    EXPECT_EQ(got.table.codes()[i], want.table.codes()[i]) << "code " << i;
-  }
+  EXPECT_EQ(CodesOf(got.table), CodesOf(want.table));
 }
 
 // ------------------------------------------------------------ token table
@@ -182,7 +189,7 @@ TEST(TokenTableTest, SizedTableMatchesOneGrownFromEmpty) {
         ASSERT_EQ(sized.Intern(code), fresh.Intern(code))
             << "expected=" << expected;
       }
-      EXPECT_TRUE(std::ranges::equal(sized.codes(), grown.codes()));
+      EXPECT_EQ(CodesOf(sized), CodesOf(grown));
       for (const WordCode& code : codes) {
         EXPECT_EQ(sized.Find(code), grown.Find(code));
       }
@@ -208,13 +215,13 @@ TEST(TokenTableTest, CompactedKeepsIdsWithTheGrownSlotCount) {
   for (const WordCode& code : codes) run_sized.Intern(code);
   // A table grown over the vocabulary alone, in id order.
   TokenTable grown(codec);
-  for (const WordCode& code : run_sized.codes()) grown.Intern(code);
+  for (const WordCode& code : CodesOf(run_sized)) grown.Intern(code);
   const TokenTable compacted = run_sized.Compacted();
   EXPECT_LT(compacted.slot_count(), run_sized.slot_count());
   EXPECT_EQ(compacted.slot_count(), grown.slot_count());
   EXPECT_EQ(compacted.codec().word_length(), 6);
   EXPECT_EQ(compacted.codec().alphabet_size(), 10);
-  EXPECT_TRUE(std::ranges::equal(compacted.codes(), grown.codes()));
+  EXPECT_EQ(CodesOf(compacted), CodesOf(grown));
   for (const WordCode& code : codes) {
     EXPECT_EQ(compacted.Find(code), grown.Find(code));
   }
@@ -223,6 +230,49 @@ TEST(TokenTableTest, CompactedKeepsIdsWithTheGrownSlotCount) {
   EXPECT_EQ(empty.size(), 0u);
   EXPECT_EQ(empty.slot_count(), 0u);
   EXPECT_EQ(empty.Find(codes[0]), -1);
+}
+
+TEST(TokenTableTest, CodeWidthFollowsTheCodec) {
+  // A 40-bit layout keeps 8 bytes per code and a 100-bit one 16; both index
+  // them with 4-byte slots. Sized, grown and compacted tables give the same
+  // ids, codes and lookups either way.
+  for (const auto& [codec, code_bytes] :
+       {std::pair{WordCodec(10, 10), size_t{8}},
+        std::pair{WordCodec(20, 20), size_t{16}}}) {
+    const std::vector<WordCode> codes = CodesWithRepeats(codec, 400, 1200, 3);
+    const std::vector<WordCode> probes = CodesWithRepeats(codec, 300, 300, 4);
+    TokenTable grown(codec);
+    TokenTable sized(codec, codes.size());
+    for (const WordCode& code : codes) {
+      ASSERT_EQ(sized.Intern(code), grown.Intern(code));
+    }
+    const size_t vocabulary = grown.size();
+    EXPECT_EQ(sized.heap_bytes(),
+              code_bytes * codes.size() + 4 * sized.slot_count());
+    const TokenTable compacted = sized.Compacted();
+    EXPECT_EQ(compacted.slot_count(), grown.slot_count());
+    EXPECT_EQ(compacted.heap_bytes(),
+              code_bytes * vocabulary + 4 * compacted.slot_count());
+    for (const TokenTable* table : {&std::as_const(sized), &compacted}) {
+      EXPECT_EQ(CodesOf(*table), CodesOf(grown));
+      for (int32_t id = 0; id < static_cast<int32_t>(vocabulary); ++id) {
+        EXPECT_EQ(table->CodeAt(id), grown.CodeAt(id));
+        EXPECT_EQ(table->Find(grown.CodeAt(id)), id);
+      }
+      size_t absent = 0;
+      for (const WordCode& probe : probes) {
+        EXPECT_EQ(table->Find(probe), grown.Find(probe));
+        absent += grown.Find(probe) < 0;
+      }
+      EXPECT_GT(absent, 0u);
+    }
+  }
+  // A narrow table finds no code with high bits set.
+  const WordCodec narrow(10, 10);
+  TokenTable table(narrow);
+  const WordCode code = narrow.PackText("abcdefghij");
+  table.Intern(code);
+  EXPECT_EQ(table.Find(WordCode{1, code.lo}), -1);
 }
 
 // ------------------------------------------------------ numerosity (Eq. 2/3)

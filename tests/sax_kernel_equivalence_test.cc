@@ -124,8 +124,8 @@ void ExpectDiscretizationsEqual(const DiscretizedSeries& a,
   EXPECT_EQ(a.seq.tokens, b.seq.tokens);
   EXPECT_EQ(a.seq.offsets, b.seq.offsets);
   ASSERT_EQ(a.table.size(), b.table.size());
-  for (size_t i = 0; i < a.table.size(); ++i) {
-    EXPECT_EQ(a.table.codes()[i], b.table.codes()[i]) << "code " << i;
+  for (int32_t id = 0; id < static_cast<int32_t>(a.table.size()); ++id) {
+    EXPECT_EQ(a.table.CodeAt(id), b.table.CodeAt(id)) << "code " << id;
   }
 }
 

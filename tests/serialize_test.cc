@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sax/token_table.h"
@@ -291,16 +292,28 @@ TEST(TokenTableCodecTest, EmptyTableRoundTrips) {
 }
 
 TEST(TokenTableCodecTest, LargeTableRoundTripsWithIdenticalProbes) {
-  // Thousands of codes at the paper's largest layout (w=20, a=20 -> 100
-  // bits), forcing many open-addressing growths on re-intern.
-  const sax::TokenTable table = MakeTable(20, 20, 5000, /*seed=*/7);
-  ByteWriter w;
-  WriteTokenTable(w, table);
-  ByteReader r(w.bytes());
-  sax::TokenTable back;
-  ASSERT_TRUE(ReadTokenTable(r, &back).ok());
-  ASSERT_TRUE(r.ExpectEnd().ok());
-  ExpectTablesIdentical(table, back);
+  // Thousands of codes at the default grid's largest layout (w=10, a=10 ->
+  // 40 bits, 8-byte codes) and the paper's largest (w=20, a=20 -> 100 bits,
+  // 16-byte codes), forcing many open-addressing growths in the writer. The
+  // blob stores 16 bytes per code either way, and the restored table holds
+  // exactly the bytes of the writer's compacted one.
+  for (const auto& [width, code_bytes] :
+       {std::pair{10, size_t{8}}, std::pair{20, size_t{16}}}) {
+    const sax::TokenTable table = MakeTable(width, width, 5000, /*seed=*/7);
+    ByteWriter w;
+    WriteTokenTable(w, table);
+    // One-byte w and a varints, a two-byte count, then the codes.
+    EXPECT_EQ(w.bytes().size(), 4 + 16 * table.size());
+    ByteReader r(w.bytes());
+    sax::TokenTable back;
+    ASSERT_TRUE(ReadTokenTable(r, &back).ok());
+    ASSERT_TRUE(r.ExpectEnd().ok());
+    ExpectTablesIdentical(table, back);
+    EXPECT_EQ(back.slot_count(), table.Compacted().slot_count());
+    EXPECT_EQ(back.heap_bytes(), table.Compacted().heap_bytes());
+    EXPECT_EQ(back.heap_bytes(),
+              code_bytes * back.size() + 4 * back.slot_count());
+  }
 }
 
 TEST(TokenTableCodecTest, MaxWidthLayoutRoundTrips) {
@@ -329,23 +342,30 @@ TEST(TokenTableCodecTest, RejectsDuplicateCodes) {
   w.PutVarint(4);
   w.PutVarint(4);
   w.PutVarint(2);
-  const sax::WordCode code{0x55, 0};
+  const sax::WordCode code{.lo = 0x55};  // "bbbb"
   WriteWordCode(w, code);
   WriteWordCode(w, code);
   ByteReader r(w.bytes());
   sax::TokenTable back;
-  EXPECT_FALSE(ReadTokenTable(r, &back).ok());
+  EXPECT_EQ(ReadTokenTable(r, &back).message(),
+            "duplicate code in token table");
 }
 
 TEST(TokenTableCodecTest, RejectsBitsOutsideLayout) {
-  ByteWriter w;
-  w.PutVarint(4);  // 4 symbols x 2 bits = 8 packed bits
-  w.PutVarint(4);
-  w.PutVarint(1);
-  WriteWordCode(w, sax::WordCode{0x100, 0});  // bit 8 set: outside layout
-  ByteReader r(w.bytes());
-  sax::TokenTable back;
-  EXPECT_FALSE(ReadTokenTable(r, &back).ok());
+  // 4 symbols x 2 bits = 8 packed bits: bit 8 of the low half and every bit
+  // of the high half lie outside the layout.
+  for (const sax::WordCode code :
+       {sax::WordCode{.lo = 0x100}, sax::WordCode{.hi = 1}}) {
+    ByteWriter w;
+    w.PutVarint(4);
+    w.PutVarint(4);
+    w.PutVarint(1);
+    WriteWordCode(w, code);
+    ByteReader r(w.bytes());
+    sax::TokenTable back;
+    EXPECT_EQ(ReadTokenTable(r, &back).message(),
+              "token code has bits outside its (w, a) layout");
+  }
 }
 
 TEST(TokenTableCodecTest, RejectsSymbolOutsideAlphabet) {
@@ -353,10 +373,11 @@ TEST(TokenTableCodecTest, RejectsSymbolOutsideAlphabet) {
   w.PutVarint(2);  // 2 symbols x 3 bits, a = 5: symbol values 5..7 illegal
   w.PutVarint(5);
   w.PutVarint(1);
-  WriteWordCode(w, sax::WordCode{0x07, 0});  // second symbol = 7
+  WriteWordCode(w, sax::WordCode{.lo = 0x07});  // second symbol = 7
   ByteReader r(w.bytes());
   sax::TokenTable back;
-  EXPECT_FALSE(ReadTokenTable(r, &back).ok());
+  EXPECT_EQ(ReadTokenTable(r, &back).message(),
+            "token symbol outside the alphabet");
 }
 
 TEST(TokenTableCodecTest, RejectsCountPastPayload) {

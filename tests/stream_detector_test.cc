@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/ensemble.h"
@@ -259,10 +260,21 @@ TEST(StreamDetectorTest, ProvisionalScoresFollowTheWindowAloneOnAnIntegerWalk) {
   EXPECT_GT(ExpectProvisionalContract(opt, series), 1000u);
 }
 
+// Slot counts and heap bytes of each model's token table, in draw order.
+std::vector<std::pair<size_t, size_t>> ModelTableSizes(
+    const StreamDetector& detector) {
+  std::vector<std::pair<size_t, size_t>> sizes;
+  for (const core::MemberWordCounts& model : detector.ModelsForTest()) {
+    sizes.emplace_back(model.table.slot_count(), model.table.heap_bytes());
+  }
+  return sizes;
+}
+
 TEST(StreamDetectorTest, KeptModelTablesAreSizedForTheirVocabulary) {
   // A refit's tables are sized for each member's run count; every kept
   // model keeps its table with the slot count of a table grown over that
-  // member's vocabulary, and so does a restore.
+  // member's vocabulary and exactly its vocabulary's codes (8 bytes each:
+  // every drawn (w, a) fits 64 bits), and so does a restore.
   const auto opt = SmallOptions();
   StreamDetector detector(opt);
   size_t refits = 0;
@@ -274,19 +286,23 @@ TEST(StreamDetectorTest, KeptModelTablesAreSizedForTheirVocabulary) {
     ASSERT_TRUE(core::ComputeEnsembleDensity(detector.BufferSnapshot(),
                                              opt.ensemble, &artifacts)
                     .ok());
-    std::vector<size_t> grown_slots;
+    std::vector<std::pair<size_t, size_t>> want;
     for (size_t m = 0; m < artifacts.word_counts.size(); ++m) {
       if (!detector.last_ensemble().members[m].kept) continue;
       const sax::TokenTable& refit_table = artifacts.word_counts[m].table;
       sax::TokenTable grown(refit_table.codec());
-      for (const sax::WordCode& code : refit_table.codes()) grown.Intern(code);
-      grown_slots.push_back(grown.slot_count());
+      for (int32_t id = 0; id < static_cast<int32_t>(refit_table.size());
+           ++id) {
+        grown.Intern(refit_table.CodeAt(id));
+      }
+      want.emplace_back(grown.slot_count(),
+                        8 * grown.size() + 4 * grown.slot_count());
       compacted += grown.slot_count() < refit_table.slot_count();
     }
-    EXPECT_EQ(detector.ModelSlotCountsForTest(), grown_slots);
+    EXPECT_EQ(ModelTableSizes(detector), want);
     const auto restored = StreamDetector::Deserialize(detector.Serialize());
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    EXPECT_EQ(restored->ModelSlotCountsForTest(), grown_slots);
+    EXPECT_EQ(ModelTableSizes(*restored), want);
   }
   EXPECT_GE(refits, 5u);
   EXPECT_GT(compacted, 0u);  // run-sized refit tables do get smaller

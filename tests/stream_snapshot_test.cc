@@ -14,12 +14,14 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datasets/random_walk.h"
 #include "egi/session.h"
 #include "exec/parallel.h"
 #include "serialize/bytes.h"
+#include "serialize/codecs.h"
 #include "serialize/format.h"
 #include "stream/detector.h"
 #include "util/env.h"
@@ -540,6 +542,109 @@ TEST(StreamSnapshotCorruptionTest, ThreadCountSlotIsBoundsCheckedAndIgnored) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("parallelism.threads"), std::string::npos)
       << st.ToString();
+}
+
+// Offset in `payload` of the first model's position counts (the varint
+// count before the doubles), found by walking every field before them.
+void FindFirstModelCounts(std::span<const uint8_t> payload, size_t* at) {
+  serialize::ByteReader r(payload);
+  uint64_t varint = 0;
+  // Options: four varints; selectivity, seed, norm_threshold and
+  // numerosity_reduction; the thread-count varint; combine, normalize and
+  // the two flags; buffer_capacity, refit_interval and prune_to; the refit
+  // policy; refit_interval_max; drift_tolerance.
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(r.ReadVarint(&varint).ok());
+  ASSERT_TRUE(r.Skip(25).ok());
+  ASSERT_TRUE(r.ReadVarint(&varint).ok());
+  ASSERT_TRUE(r.Skip(4).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(r.ReadVarint(&varint).ok());
+  ASSERT_TRUE(r.Skip(1).ok());
+  ASSERT_TRUE(r.ReadVarint(&varint).ok());
+  ASSERT_TRUE(r.Skip(8).ok());
+  // State: counters, refit status, buffer, rolling stats, buffered count,
+  // scores, density, members, then the model count and the first table.
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(r.ReadVarint(&varint).ok());
+  Status status;
+  ASSERT_TRUE(serialize::ReadStatus(r, &status).ok());
+  std::vector<double> values;
+  ASSERT_TRUE(serialize::ReadDoubles(r, &values, /*allow_nan=*/false).ok());
+  RollingStats stats;
+  ASSERT_TRUE(serialize::ReadRollingStats(r, &stats).ok());
+  ASSERT_TRUE(r.ReadVarint(&varint).ok());
+  ASSERT_TRUE(serialize::ReadDoubles(r, &values, /*allow_nan=*/true).ok());
+  ASSERT_TRUE(serialize::ReadDoubles(r, &values, /*allow_nan=*/false).ok());
+  uint64_t members = 0;
+  ASSERT_TRUE(r.ReadVarint(&members).ok());
+  for (uint64_t m = 0; m < members; ++m) {
+    ASSERT_TRUE(r.ReadVarint(&varint).ok());
+    ASSERT_TRUE(r.ReadVarint(&varint).ok());
+    ASSERT_TRUE(r.Skip(9).ok());  // std_dev, kept
+  }
+  ASSERT_TRUE(r.ReadVarint(&varint).ok());
+  ASSERT_GT(varint, 0u);
+  sax::TokenTable table;
+  ASSERT_TRUE(serialize::ReadTokenTable(r, &table).ok());
+  *at = r.position();
+}
+
+TEST(StreamSnapshotCorruptionTest, PositionCountsMustBeWholeNumbers) {
+  // A position count is a whole number of window positions, kept in 32
+  // bits. A blob holding a fraction, or 2^32, must fail restore, naming the
+  // field, rather than restore a model no refit could have built.
+  const auto blob = FittedDetectorBlob();
+  std::span<const uint8_t> payload;
+  ASSERT_TRUE(serialize::UnwrapPayload(
+                  blob, serialize::BlobKind::kStreamDetector, &payload)
+                  .ok());
+  size_t at = 0;
+  ASSERT_NO_FATAL_FAILURE(FindFirstModelCounts(payload, &at));
+  serialize::ByteReader r(payload);
+  ASSERT_TRUE(r.Skip(at).ok());
+  uint64_t count = 0;
+  ASSERT_TRUE(r.ReadVarint(&count).ok());
+  const size_t first = r.position();  // the counts, then max_count
+  std::vector<double> counts(count);
+  for (double& c : counts) ASSERT_TRUE(r.ReadDouble(&c).ok());
+  double max_count = 0.0;
+  ASSERT_TRUE(r.ReadDouble(&max_count).ok());
+  ASSERT_EQ(max_count, *std::max_element(counts.begin(), counts.end()));
+  const size_t top = static_cast<size_t>(
+      std::max_element(counts.begin(), counts.end()) - counts.begin());
+  const auto low = std::find_if(counts.begin(), counts.end(),
+                                [&](double c) { return c + 1 <= max_count; });
+  ASSERT_NE(low, counts.end());  // a non-maximal count to patch
+  const auto lower = static_cast<size_t>(low - counts.begin());
+
+  // The payload with count `index` set to `value` and max_count to `max`.
+  const auto patched = [&](size_t index, double value, double max) {
+    std::vector<uint8_t> bytes(payload.begin(), payload.end());
+    for (const auto& [offset, v] : {std::pair{first + 8 * index, value},
+                                    std::pair{first + 8 * count, max}}) {
+      serialize::ByteWriter w;
+      w.PutDouble(v);
+      std::copy(w.bytes().begin(), w.bytes().end(), bytes.begin() + offset);
+    }
+    return serialize::WrapPayload(serialize::BlobKind::kStreamDetector,
+                                  bytes);
+  };
+  for (const auto& forged :
+       {patched(lower, counts[lower] + 0.5, max_count),
+        patched(top, 0x1p32, 0x1p32)}) {
+    const auto st = StreamDetector::Deserialize(forged).status();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("position_counts"), std::string::npos)
+        << st.ToString();
+  }
+  // The largest 32-bit count restores, and so does the untouched payload.
+  EXPECT_TRUE(StreamDetector::Deserialize(
+                  patched(top, 0x1p32 - 1, 0x1p32 - 1))
+                  .ok());
+  const auto rewrapped =
+      serialize::WrapPayload(serialize::BlobKind::kStreamDetector, payload);
+  auto restored = StreamDetector::Deserialize(rewrapped);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->Serialize(), blob);
 }
 
 TEST(StreamSnapshotCorruptionTest, EmptyAndGarbageBlobsAreRejected) {

@@ -407,38 +407,6 @@ TEST(EnvTest, BoolVariants) {
   ::unsetenv("EGI_TEST_BOOL");
 }
 
-TEST(EnvTest, DoubleParsed) {
-  ::setenv("EGI_TEST_DBL", "0.25", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("EGI_TEST_DBL", 1.0), 0.25);
-  ::unsetenv("EGI_TEST_DBL");
-}
-
-TEST(EnvTest, DoubleGarbageFallsBack) {
-  ::setenv("EGI_TEST_DBL", "0.25pie", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("EGI_TEST_DBL", 1.0), 1.0);
-  ::unsetenv("EGI_TEST_DBL");
-}
-
-TEST(EnvTest, DoubleOverflowFallsBack) {
-  // strtod saturates to +/-HUGE_VAL with errno == ERANGE; the saturated
-  // infinity must not leak through as a parsed value.
-  ::setenv("EGI_TEST_DBL", "1e999", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("EGI_TEST_DBL", 1.0), 1.0);
-  ::setenv("EGI_TEST_DBL", "-1e999", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("EGI_TEST_DBL", 1.0), 1.0);
-  ::unsetenv("EGI_TEST_DBL");
-}
-
-TEST(EnvTest, DoubleExtremeButRepresentableStillParses) {
-  ::setenv("EGI_TEST_DBL", "1e308", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("EGI_TEST_DBL", 1.0), 1e308);
-  // Subnormals set ERANGE on glibc but are representable, not saturated;
-  // they must parse, not fall back.
-  ::setenv("EGI_TEST_DBL", "1e-320", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("EGI_TEST_DBL", 1.0), 1e-320);
-  ::unsetenv("EGI_TEST_DBL");
-}
-
 TEST(EnvTest, StringFallback) {
   ::unsetenv("EGI_TEST_STR");
   EXPECT_EQ(GetEnvString("EGI_TEST_STR", "dflt"), "dflt");
@@ -465,20 +433,6 @@ TEST(EnvTest, IntWhitespaceSymmetric) {
   ::setenv("EGI_TEST_INT", "   ", 1);
   EXPECT_EQ(GetEnvInt("EGI_TEST_INT", 7), 7);
   ::unsetenv("EGI_TEST_INT");
-}
-
-TEST(EnvTest, DoubleWhitespaceSymmetric) {
-  ::setenv("EGI_TEST_DBL", " 0.25", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("EGI_TEST_DBL", 1.0), 0.25);
-  ::setenv("EGI_TEST_DBL", "0.25 ", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("EGI_TEST_DBL", 1.0), 0.25);
-  ::setenv("EGI_TEST_DBL", "\t0.25\t", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("EGI_TEST_DBL", 1.0), 0.25);
-  ::setenv("EGI_TEST_DBL", "0.2 5", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("EGI_TEST_DBL", 1.0), 1.0);
-  ::setenv("EGI_TEST_DBL", " ", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("EGI_TEST_DBL", 1.0), 1.0);
-  ::unsetenv("EGI_TEST_DBL");
 }
 
 TEST(EnvTest, BoolWhitespaceTolerant) {
